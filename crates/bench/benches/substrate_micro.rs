@@ -1,5 +1,5 @@
 //! Microbenchmarks of the substrates: cache accesses, DRAM requests,
-//! XY routing, signature selection.
+//! XY routing, signature selection (5×5 and 16×16 meshes).
 
 use bench::Harness;
 use ndc_mem::{MemoryController, SetAssocCache};
@@ -90,6 +90,33 @@ fn main() {
                 Coord::new(3, 2),
                 Coord::new(1, 0),
                 Coord::new(2, 3),
+            )
+            .common_links
+        });
+    }
+
+    // The 16×16 scale-up mesh: two 10-hop operands toward one core
+    // (exhaustive enumeration, up to C(10, 5) = 252 routes each), and
+    // two corner-to-corner operands (the two-bend staircase family).
+    {
+        let mesh = Mesh::new(ArchConfig::with_mesh(16, 16).noc);
+        h.bench("signature_pair_selection_16x16_10hop", || {
+            best_signature_pair(
+                &mesh,
+                Coord::new(2, 3),
+                Coord::new(7, 8),
+                Coord::new(3, 2),
+                Coord::new(7, 8),
+            )
+            .common_links
+        });
+        h.bench("signature_pair_selection_16x16_corner", || {
+            best_signature_pair(
+                &mesh,
+                Coord::new(0, 0),
+                Coord::new(15, 15),
+                Coord::new(1, 0),
+                Coord::new(15, 15),
             )
             .common_links
         });

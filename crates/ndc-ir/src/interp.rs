@@ -20,12 +20,22 @@ pub struct DataStore {
     oob_reads: std::cell::Cell<u64>,
 }
 
-/// Semantic equality: array contents only. The OOB-read counter is
-/// deliberately excluded so differential-oracle comparisons are not
-/// perturbed by how many halo reads each execution order performed.
+/// Semantic equality: array contents only, compared bit for bit — two
+/// runs that computed the same NaN agree, and `0.0` and `-0.0` do not.
+/// The OOB-read counter is deliberately excluded so differential-oracle
+/// comparisons are not perturbed by how many halo reads each execution
+/// order performed.
 impl PartialEq for DataStore {
     fn eq(&self, other: &DataStore) -> bool {
-        self.arrays == other.arrays
+        let same = |x: &Vec<f64>, y: &Vec<f64>| {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+        };
+        self.arrays.len() == other.arrays.len()
+            && self
+                .arrays
+                .iter()
+                .zip(&other.arrays)
+                .all(|(x, y)| same(x, y))
     }
 }
 

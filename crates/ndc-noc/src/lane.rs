@@ -98,18 +98,29 @@ impl LanePlanner {
         start: Cycle,
         bytes: u64,
     ) -> TraversalRecord {
+        self.traverse_links(frozen, &route.links, start, bytes)
+    }
+
+    /// [`LanePlanner::traverse`] over a bare link sequence.
+    pub fn traverse_links(
+        &mut self,
+        frozen: &Network,
+        links: &[LinkId],
+        start: Cycle,
+        bytes: u64,
+    ) -> TraversalRecord {
         let hop = frozen.mesh().config().hop_cycles;
         let occupancy = bytes.div_ceil(frozen.mesh().config().link_bytes).max(1);
         let mut t = start;
         let mut rec = TraversalRecord {
-            links: Vec::with_capacity(route.links.len()),
+            links: Vec::with_capacity(links.len()),
             departed: start,
             arrived: start,
-            flit_hops: occupancy * route.links.len() as u64,
+            flit_hops: occupancy * links.len() as u64,
         };
         self.messages += 1;
         self.flit_hops += rec.flit_hops;
-        for &l in &route.links {
+        for &l in links {
             let enter = t.max(self.horizon(frozen, l));
             self.queueing_cycles += enter - t;
             if frozen.obs_enabled() {

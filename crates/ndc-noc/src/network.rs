@@ -137,18 +137,28 @@ impl Network {
     /// `start`. Returns the per-link timing record. A zero-hop route
     /// (source == destination) arrives instantly.
     pub fn traverse(&mut self, route: &Route, start: Cycle, bytes: u64) -> TraversalRecord {
+        self.traverse_links(&route.links, start, bytes)
+    }
+
+    /// [`Network::traverse`] over a bare link sequence (a route prefix).
+    pub fn traverse_links(
+        &mut self,
+        links: &[LinkId],
+        start: Cycle,
+        bytes: u64,
+    ) -> TraversalRecord {
         let hop = self.mesh.config().hop_cycles;
         let occupancy = bytes.div_ceil(self.mesh.config().link_bytes).max(1);
         let mut t = start;
         let mut rec = TraversalRecord {
-            links: Vec::with_capacity(route.links.len()),
+            links: Vec::with_capacity(links.len()),
             departed: start,
             arrived: start,
-            flit_hops: occupancy * route.links.len() as u64,
+            flit_hops: occupancy * links.len() as u64,
         };
         self.messages += 1;
         self.flit_hops += rec.flit_hops;
-        for &l in &route.links {
+        for &l in links {
             let free_at = self.busy_until[l.index()];
             let enter = t.max(free_at);
             self.queueing_cycles += enter - t;

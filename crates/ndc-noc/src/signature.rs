@@ -101,9 +101,21 @@ pub fn minimal_routes(mesh: &Mesh, src: Coord, dst: Coord) -> Vec<Route> {
         return bounded_routes(mesh, src, dst);
     }
     let mut out = Vec::new();
-    let mut path = vec![src];
-    recurse(mesh, dst, &mut path, &mut out);
+    let mut links = Vec::with_capacity(dist as usize);
+    recurse(mesh, src, (src, dst), &mut links, &mut out);
     out
+}
+
+/// One hop from `at` toward `to` along X.
+fn step_x(at: Coord, to: Coord) -> Coord {
+    let x = if to.x > at.x { at.x + 1 } else { at.x - 1 };
+    Coord::new(x, at.y)
+}
+
+/// One hop from `at` toward `to` along Y.
+fn step_y(at: Coord, to: Coord) -> Coord {
+    let y = if to.y > at.y { at.y + 1 } else { at.y - 1 };
+    Coord::new(at.x, y)
 }
 
 /// Walk from `a` to `b` inclusive, one hop at a time, in either axis
@@ -128,21 +140,14 @@ fn bounded_routes(mesh: &Mesh, src: Coord, dst: Coord) -> Vec<Route> {
         return vec![mesh.xy_route(src, dst)];
     }
     let mut out = Vec::new();
+    let hops = src.manhattan(dst) as usize;
     let mut push = |via: &[Coord]| {
-        let mut path = vec![src];
+        let mut links = Vec::with_capacity(hops);
+        // Each leg of `via` is axis-aligned, so its XY route is the leg.
         for w in via.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if a.x == b.x {
-                for y in axis_walk(a.y, b.y).skip(1) {
-                    path.push(Coord::new(a.x, y));
-                }
-            } else {
-                for x in axis_walk(a.x, b.x).skip(1) {
-                    path.push(Coord::new(x, a.y));
-                }
-            }
+            links.extend(mesh.xy_route(w[0], w[1]).links);
         }
-        out.push(mesh.route_via(&path));
+        out.push(Route { src, dst, links });
     };
     // x–y–x through every column between the endpoints (the first,
     // `mx = src.x`, is the YX route; the last, `mx = dst.x`, is XY).
@@ -160,33 +165,36 @@ fn bounded_routes(mesh: &Mesh, src: Coord, dst: Coord) -> Vec<Route> {
     out
 }
 
-fn recurse(mesh: &Mesh, dst: Coord, path: &mut Vec<Coord>, out: &mut Vec<Route>) {
-    let at = *path.last().unwrap();
+/// Extend the route prefix `links` (which ends at `at`) by every
+/// monotone continuation to `ends.1`.
+fn recurse(
+    mesh: &Mesh,
+    at: Coord,
+    ends: (Coord, Coord),
+    links: &mut Vec<LinkId>,
+    out: &mut Vec<Route>,
+) {
+    let (src, dst) = ends;
     if at == dst {
-        out.push(mesh.route_via(path));
+        out.push(Route {
+            src,
+            dst,
+            links: links.clone(),
+        });
         return;
     }
     // Move one step closer in X, then (as an alternative) in Y —
     // exploring both orders yields every monotone staircase.
-    if at.x != dst.x {
-        let next = if dst.x > at.x {
-            Coord::new(at.x + 1, at.y)
-        } else {
-            Coord::new(at.x - 1, at.y)
-        };
-        path.push(next);
-        recurse(mesh, dst, path, out);
-        path.pop();
-    }
-    if at.y != dst.y {
-        let next = if dst.y > at.y {
-            Coord::new(at.x, at.y + 1)
-        } else {
-            Coord::new(at.x, at.y - 1)
-        };
-        path.push(next);
-        recurse(mesh, dst, path, out);
-        path.pop();
+    for next in [
+        (at.x != dst.x).then(|| step_x(at, dst)),
+        (at.y != dst.y).then(|| step_y(at, dst)),
+    ]
+    .into_iter()
+    .flatten()
+    {
+        links.push(mesh.link_between(at, next));
+        recurse(mesh, next, ends, links, out);
+        links.pop();
     }
 }
 
@@ -195,8 +203,6 @@ fn recurse(mesh: &Mesh, dst: Coord, path: &mut Vec<Coord>, out: &mut Vec<Route>)
 pub struct SignaturePair {
     pub route_a: Route,
     pub route_b: Route,
-    pub sig_a: RouteSignature,
-    pub sig_b: RouteSignature,
     /// `|Sa ∩ Sb|` — the number of routers where the two operands'
     /// messages share a link buffer.
     pub common_links: u32,
@@ -207,7 +213,8 @@ pub struct SignaturePair {
 /// (§5.2.1: "selects signatures carefully in an attempt to maximize 1s
 /// in S{...} ∩ S{...}"). Ties prefer the XY route (index 0 of the
 /// enumeration explores X-first moves first), keeping the baseline
-/// routing when reshaping buys nothing.
+/// routing when reshaping buys nothing: the winner is the first pair,
+/// in row-major enumeration order, with the largest overlap.
 pub fn best_signature_pair(
     mesh: &Mesh,
     a_src: Coord,
@@ -215,38 +222,77 @@ pub fn best_signature_pair(
     b_src: Coord,
     b_dst: Coord,
 ) -> SignaturePair {
-    let routes_a = minimal_routes(mesh, a_src, a_dst);
-    let routes_b = minimal_routes(mesh, b_src, b_dst);
-    let sigs_a: Vec<RouteSignature> = routes_a
-        .iter()
-        .map(|r| RouteSignature::from_route(mesh, r))
-        .collect();
-    let sigs_b: Vec<RouteSignature> = routes_b
-        .iter()
-        .map(|r| RouteSignature::from_route(mesh, r))
-        .collect();
+    let mut routes_a = minimal_routes(mesh, a_src, a_dst);
+    let mut routes_b = minimal_routes(mesh, b_src, b_dst);
+    let (i, j, common_links) = best_pair_index(mesh, &routes_a, &routes_b);
+    SignaturePair {
+        route_a: routes_a.swap_remove(i),
+        route_b: routes_b.swap_remove(j),
+        common_links,
+    }
+}
 
-    let mut best: Option<(usize, usize, u32)> = None;
-    for (i, sa) in sigs_a.iter().enumerate() {
-        for (j, sb) in sigs_b.iter().enumerate() {
-            let common = sa.and(sb).count_ones();
-            let better = match best {
-                None => true,
-                Some((_, _, c)) => common > c,
-            };
-            if better {
-                best = Some((i, j, common));
+/// The search behind [`best_signature_pair`], on signatures projected
+/// onto the only links that can matter.
+///
+/// A link two routes share lies in `U_a ∩ U_b`, the intersection of the
+/// two families' link unions, so each route is projected onto that set
+/// (one `u64` whenever it has at most 64 links, as it nearly always
+/// does) and a pair's overlap is a popcount of the projected `and`.
+/// The scan stops once a pair reaches `|U_a ∩ U_b|`, and skips a row
+/// whose own projected length cannot beat the best so far; neither
+/// shortcut can pass over a strictly better pair, so the result is the
+/// exhaustive scan's.
+fn best_pair_index(mesh: &Mesh, routes_a: &[Route], routes_b: &[Route]) -> (usize, usize, u32) {
+    let union = |routes: &[Route]| {
+        let mut s = RouteSignature::empty(mesh);
+        for &l in routes.iter().flat_map(|r| &r.links) {
+            s.set(l);
+        }
+        s
+    };
+    let shared = union(routes_a).and(&union(routes_b));
+    let ceiling = shared.count_ones();
+    let width = (ceiling as usize).div_ceil(64).max(1);
+    let mut rank = vec![u32::MAX; mesh.num_links()];
+    for (k, l) in shared.links().enumerate() {
+        rank[l.index()] = k as u32;
+    }
+    let project = |routes: &[Route]| {
+        let mut out = vec![0u64; routes.len() * width];
+        for (r, words) in routes.iter().zip(out.chunks_exact_mut(width)) {
+            for &l in &r.links {
+                let k = rank[l.index()];
+                if k != u32::MAX {
+                    words[k as usize / 64] |= 1 << (k % 64);
+                }
+            }
+        }
+        out
+    };
+    let (pa, pb) = (project(routes_a), project(routes_b));
+    let common =
+        |x: &[u64], y: &[u64]| -> u32 { x.iter().zip(y).map(|(a, b)| (a & b).count_ones()).sum() };
+
+    let mut best = (0, 0, common(&pa[..width], &pb[..width]));
+    'rows: for (i, sa) in pa.chunks_exact(width).enumerate() {
+        if best.2 == ceiling {
+            break;
+        }
+        if sa.iter().map(|w| w.count_ones()).sum::<u32>() <= best.2 {
+            continue;
+        }
+        for (j, sb) in pb.chunks_exact(width).enumerate() {
+            let c = common(sa, sb);
+            if c > best.2 {
+                best = (i, j, c);
+                if c == ceiling {
+                    break 'rows;
+                }
             }
         }
     }
-    let (i, j, common) = best.expect("route enumerations are never empty");
-    SignaturePair {
-        route_a: routes_a[i].clone(),
-        route_b: routes_b[j].clone(),
-        sig_a: sigs_a[i].clone(),
-        sig_b: sigs_b[j].clone(),
-        common_links: common,
-    }
+    best
 }
 
 #[cfg(test)]
@@ -336,6 +382,166 @@ mod tests {
         let d = Coord::new(4, 1);
         let best = best_signature_pair(&m, s, d, s, d);
         assert_eq!(best.common_links, 3);
+    }
+
+    /// The node-path route enumeration the link-building one replaced:
+    /// every monotone path X-step first within 10 hops, else the
+    /// two-bend staircases by column, then by interior row.
+    fn reference_routes(mesh: &Mesh, src: Coord, dst: Coord) -> Vec<Route> {
+        fn walk(a: u16, b: u16) -> Vec<u16> {
+            if a <= b {
+                (a..=b).collect()
+            } else {
+                (b..=a).rev().collect()
+            }
+        }
+        fn recurse(mesh: &Mesh, dst: Coord, path: &mut Vec<Coord>, out: &mut Vec<Route>) {
+            let at = *path.last().unwrap();
+            if at == dst {
+                out.push(mesh.route_via(path));
+                return;
+            }
+            let mut nexts = Vec::new();
+            if at.x != dst.x {
+                nexts.push(Coord::new(walk(at.x, dst.x)[1], at.y));
+            }
+            if at.y != dst.y {
+                nexts.push(Coord::new(at.x, walk(at.y, dst.y)[1]));
+            }
+            for next in nexts {
+                path.push(next);
+                recurse(mesh, dst, path, out);
+                path.pop();
+            }
+        }
+        let mut out = Vec::new();
+        if src.manhattan(dst) <= MAX_EXHAUSTIVE_HOPS as u32 {
+            recurse(mesh, dst, &mut vec![src], &mut out);
+        } else if src.x == dst.x || src.y == dst.y {
+            out.push(mesh.xy_route(src, dst));
+        } else {
+            let staircase = |via: [Coord; 4]| {
+                let mut path = vec![src];
+                for w in via.windows(2) {
+                    if w[0].x == w[1].x {
+                        let ys = walk(w[0].y, w[1].y);
+                        path.extend(ys[1..].iter().map(|&y| Coord::new(w[0].x, y)));
+                    } else {
+                        let xs = walk(w[0].x, w[1].x);
+                        path.extend(xs[1..].iter().map(|&x| Coord::new(x, w[0].y)));
+                    }
+                }
+                mesh.route_via(&path)
+            };
+            for mx in walk(src.x, dst.x) {
+                out.push(staircase([
+                    src,
+                    Coord::new(mx, src.y),
+                    Coord::new(mx, dst.y),
+                    dst,
+                ]));
+            }
+            for my in walk(src.y, dst.y) {
+                if my != src.y && my != dst.y {
+                    out.push(staircase([
+                        src,
+                        Coord::new(src.x, my),
+                        Coord::new(dst.x, my),
+                        dst,
+                    ]));
+                }
+            }
+        }
+        out
+    }
+
+    /// The allocating all-pairs scan the projected search replaced,
+    /// kept as the equivalence reference.
+    fn reference_pair(mesh: &Mesh, a: (Coord, Coord), b: (Coord, Coord)) -> SignaturePair {
+        let routes_a = reference_routes(mesh, a.0, a.1);
+        let routes_b = reference_routes(mesh, b.0, b.1);
+        assert_eq!(routes_a, minimal_routes(mesh, a.0, a.1), "{a:?}");
+        assert_eq!(routes_b, minimal_routes(mesh, b.0, b.1), "{b:?}");
+        let sigs = |routes: &[Route]| -> Vec<RouteSignature> {
+            routes
+                .iter()
+                .map(|r| RouteSignature::from_route(mesh, r))
+                .collect()
+        };
+        let (sigs_a, sigs_b) = (sigs(&routes_a), sigs(&routes_b));
+        let mut best: Option<(usize, usize, u32)> = None;
+        for (i, sa) in sigs_a.iter().enumerate() {
+            for (j, sb) in sigs_b.iter().enumerate() {
+                let common = sa.and(sb).count_ones();
+                if best.is_none_or(|(_, _, c)| common > c) {
+                    best = Some((i, j, common));
+                }
+            }
+        }
+        let (i, j, common_links) = best.unwrap();
+        SignaturePair {
+            route_a: routes_a[i].clone(),
+            route_b: routes_b[j].clone(),
+            common_links,
+        }
+    }
+
+    fn assert_matches_reference(mesh: &Mesh, a: (Coord, Coord), b: (Coord, Coord)) {
+        let fast = best_signature_pair(mesh, a.0, a.1, b.0, b.1);
+        let slow = reference_pair(mesh, a, b);
+        assert_eq!(fast.route_a, slow.route_a, "route_a for {a:?} / {b:?}");
+        assert_eq!(fast.route_b, slow.route_b, "route_b for {a:?} / {b:?}");
+        assert_eq!(fast.common_links, slow.common_links, "{a:?} / {b:?}");
+    }
+
+    /// Every `(a_src, b_src, dst)` triple of the paper's 5×5 mesh — the
+    /// shape of the simulator's reply-route queries (two banks, one
+    /// core) — selects exactly the reference pair.
+    #[test]
+    fn projected_search_matches_reference_on_every_5x5_triple() {
+        let m = Mesh::new(NocConfig {
+            width: 5,
+            height: 5,
+            link_bytes: 16,
+            hop_cycles: 3,
+        });
+        let nodes: Vec<Coord> = (0..5u16)
+            .flat_map(|y| (0..5u16).map(move |x| Coord::new(x, y)))
+            .collect();
+        for &a in &nodes {
+            for &b in &nodes {
+                for &d in &nodes {
+                    assert_matches_reference(&m, (a, d), (b, d));
+                }
+            }
+        }
+    }
+
+    /// A seeded 16×16 sample covering both route families: pairs within
+    /// 10 hops (exhaustive enumeration) and beyond (staircases), with
+    /// shared and with independent destinations.
+    #[test]
+    fn projected_search_matches_reference_on_16x16_sample() {
+        let m = Mesh::new(NocConfig {
+            width: 16,
+            height: 16,
+            link_bytes: 16,
+            hop_cycles: 3,
+        });
+        let mut g = ndc_types::SplitMix64::new(0x516e);
+        let at = |g: &mut ndc_types::SplitMix64| Coord::new(g.below(16) as u16, g.below(16) as u16);
+        let (mut short, mut long) = (0, 0);
+        while short < 48 || long < 48 {
+            let d = at(&mut g);
+            let (a, b) = (at(&mut g), at(&mut g));
+            let b_dst = if g.below(2) == 0 { d } else { at(&mut g) };
+            let is_long = a.manhattan(d) > 10 || b.manhattan(b_dst) > 10;
+            let count = if is_long { &mut long } else { &mut short };
+            if *count < 48 {
+                *count += 1;
+                assert_matches_reference(&m, (a, d), (b, b_dst));
+            }
+        }
     }
 
     #[test]

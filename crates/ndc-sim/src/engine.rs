@@ -56,11 +56,6 @@ pub(crate) enum PreResult {
     },
 }
 
-/// NDC result values return to the core over the CPU-feed; stores
-/// execute conventionally there, so the destination line's locality is
-/// identical to baseline execution.
-const _STORE_AT_CORE: () = ();
-
 /// Sentinel meaning "no window recorded yet" in [`LastWindowTable`].
 pub(crate) const NO_WINDOW: Cycle = Cycle::MAX;
 
@@ -312,7 +307,6 @@ impl<'a> Engine<'a> {
     }
 
     pub fn run(self) -> EngineOutput {
-        let cores = self.cfg.nodes().min(self.prog.traces.len().max(1));
         let mut machine = Machine::new(self.cfg);
         if self.obs.metrics {
             machine.net.enable_obs();
@@ -415,7 +409,6 @@ impl<'a> Engine<'a> {
         result.noc_queueing_cycles = machine.net.queueing_cycles;
         result.noc_flit_hops = machine.net.flit_hops;
         result.total_computes = self.prog.total_computes();
-        let _ = cores;
         let mut metrics = self.obs.metrics.then(|| build_metrics(&machine, &result));
         // Ring-drop accounting: a truncated trace must say so (and say
         // whose events were evicted), not silently shorten history.
@@ -569,7 +562,7 @@ impl<'a> Engine<'a> {
                 op,
                 a,
                 b,
-                store_to,
+                store_to: _,
                 stagger,
                 reshape_routes,
             } => {
@@ -583,7 +576,6 @@ impl<'a> Engine<'a> {
                     op,
                     a,
                     b,
-                    store_to,
                     stagger,
                     reshape_routes,
                     result,
@@ -1000,7 +992,6 @@ impl<'a> Engine<'a> {
         op: Op,
         a: Addr,
         b: Addr,
-        store_to: Option<Addr>,
         stagger: i32,
         reshape_routes: bool,
         result: &mut SimResult,
@@ -1059,7 +1050,6 @@ impl<'a> Engine<'a> {
                 ignore_limits: false,
             },
         );
-        let _ = store_to;
         match outcome {
             NdcOutcome::Performed {
                 loc,

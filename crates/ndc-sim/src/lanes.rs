@@ -57,7 +57,7 @@ use crate::schemes::{
     MarkovPredictor, OracleDecision, OracleGuide, Scheme, WaitBudget, WINDOW_CAP,
 };
 use crate::stats::SimResult;
-use ndc_noc::{LanePlanner, Route};
+use ndc_noc::{LanePlanner, LinkId};
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::{chk, CheckLevel, Event, ObsLevel, RingSink};
 use ndc_par::LanePool;
@@ -297,10 +297,10 @@ impl LaneCore {
                 op,
                 a,
                 b,
-                store_to,
+                store_to: _,
                 stagger,
                 reshape_routes,
-            } => self.exec_precompute(fz, id, op, a, b, store_to, stagger, reshape_routes),
+            } => self.exec_precompute(fz, id, op, a, b, stagger, reshape_routes),
             InstKind::FusedPreCompute {
                 id,
                 n_ops,
@@ -555,20 +555,26 @@ impl LaneCore {
         let op_ready = chosen.ready();
         if chosen.loc == NdcLocation::LinkBuffer {
             if let (Some(l2a), Some(l2b)) = (a.l2, b.l2) {
-                let (ra, rb) = reply_routes(m, core, l2a.bank, l2b.bank, params.reshape);
-                let ka = ra
-                    .links
-                    .iter()
-                    .position(|l| m.mesh().link_router(*l) == chosen.node);
-                let kb = rb
-                    .links
-                    .iter()
-                    .position(|l| m.mesh().link_router(*l) == chosen.node);
-                if let Some(k) = ka {
-                    self.send_data_along(fz, &ra, k + 1, l2a.data_at_bank, cfg.l1.line_bytes);
+                let routes = reply_routes(m, core, l2a.bank, l2b.bank, params.reshape);
+                let meet = |r: &[LinkId]| {
+                    r.iter()
+                        .position(|l| m.mesh().link_router(*l) == chosen.node)
+                };
+                if let Some(k) = meet(routes.a()) {
+                    self.send_data_along(
+                        fz,
+                        &routes.a()[..=k],
+                        l2a.data_at_bank,
+                        cfg.l1.line_bytes,
+                    );
                 }
-                if let Some(k) = kb {
-                    self.send_data_along(fz, &rb, k + 1, l2b.data_at_bank, cfg.l1.line_bytes);
+                if let Some(k) = meet(routes.b()) {
+                    self.send_data_along(
+                        fz,
+                        &routes.b()[..=k],
+                        l2b.data_at_bank,
+                        cfg.l1.line_bytes,
+                    );
                 }
             }
         }
@@ -592,20 +598,10 @@ impl LaneCore {
         }
     }
 
-    fn send_data_along(
-        &mut self,
-        fz: &Frozen<'_>,
-        route: &Route,
-        upto_hops: usize,
-        t: Cycle,
-        bytes: u64,
-    ) {
-        let partial = Route {
-            src: route.src,
-            dst: route.dst,
-            links: route.links[..upto_hops.min(route.links.len())].to_vec(),
-        };
-        let rec = self.planner.traverse(&fz.machine.net, &partial, t, bytes);
+    fn send_data_along(&mut self, fz: &Frozen<'_>, links: &[LinkId], t: Cycle, bytes: u64) {
+        let rec = self
+            .planner
+            .traverse_links(&fz.machine.net, links, t, bytes);
         self.charge_traverse(rec.flit_hops);
     }
 
@@ -902,7 +898,6 @@ impl LaneCore {
         op: Op,
         a: Addr,
         b: Addr,
-        store_to: Option<Addr>,
         stagger: i32,
         reshape_routes: bool,
     ) {
@@ -943,7 +938,6 @@ impl LaneCore {
                 ignore_limits: false,
             },
         );
-        let _ = store_to;
         match outcome {
             NdcOutcome::Performed {
                 loc,
@@ -1060,7 +1054,12 @@ impl LaneCore {
                     .iter()
                     .position(|l| m.mesh().link_router(*l) == chosen.node)
                 {
-                    self.send_data_along(fz, &route, k + 1, l2.data_at_bank, cfg.l1.line_bytes);
+                    self.send_data_along(
+                        fz,
+                        &route.links[..=k],
+                        l2.data_at_bank,
+                        cfg.l1.line_bytes,
+                    );
                 }
             }
         }

@@ -42,7 +42,7 @@ pub use lanes::{
     simulate_lanes, simulate_lanes_checked, simulate_lanes_obs, simulate_lanes_tenants, LaneEngine,
 };
 pub use machine::{AccessPath, CheckRecorder, Machine, SpanRecorder, SPAN_SEED};
-pub use ndc::{NdcOutcome, NdcResolution, ALL_ABORT_REASONS};
+pub use ndc::{NdcOutcome, ALL_ABORT_REASONS};
 pub use report::{build_metrics, ledger_metrics};
 pub use schemes::{Scheme, WaitBudget};
 pub use stats::SimResult;

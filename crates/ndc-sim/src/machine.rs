@@ -9,8 +9,9 @@
 //! the paper's arrival-window instrumentation (Figure 2) and for NDC
 //! package resolution.
 
+use crate::ndc::ReshapeMemo;
 use ndc_mem::{AccessOutcome, Directory, MemoryController, RowOutcome, SetAssocCache};
-use ndc_noc::{LinkTraversal, Mesh, Network, Route};
+use ndc_noc::{LinkId, LinkTraversal, Mesh, Network, Route};
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::span::{Span, SpanSampler, SpanTrace, QUEUE, STALL};
 use ndc_obs::{chk, Event};
@@ -341,6 +342,8 @@ pub struct Machine {
     /// charge site. Charging never reads simulated time, so enabling it
     /// cannot perturb results.
     pub attr: Option<Box<AttrState>>,
+    /// Reshaped reply routes selected so far in this run.
+    pub(crate) reshaped: ReshapeMemo,
 }
 
 impl Machine {
@@ -359,6 +362,7 @@ impl Machine {
             chk: None,
             spans: None,
             attr: None,
+            reshaped: ReshapeMemo::default(),
         }
     }
 
@@ -692,17 +696,11 @@ impl Machine {
     /// traversal record.
     pub fn send_data_along(
         &mut self,
-        route: &Route,
-        upto_hops: usize,
+        links: &[LinkId],
         t: Cycle,
         bytes: u64,
     ) -> ndc_noc::TraversalRecord {
-        let partial = Route {
-            src: route.src,
-            dst: route.dst,
-            links: route.links[..upto_hops.min(route.links.len())].to_vec(),
-        };
-        let rec = self.net.traverse(&partial, t, bytes);
+        let rec = self.net.traverse_links(links, t, bytes);
         self.charge_traverse(rec.flit_hops);
         rec
     }

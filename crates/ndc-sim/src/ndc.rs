@@ -14,8 +14,9 @@
 //! restrict candidates via the control register.
 
 use crate::machine::{AccessPath, Machine};
-use ndc_noc::{best_signature_pair, Route};
-use ndc_types::{Cycle, NdcLocation, NodeId, Op, ALL_NDC_LOCATIONS};
+use ndc_noc::{best_signature_pair, LinkId};
+use ndc_types::{Cycle, FxHashMap, NdcLocation, NodeId, Op, ALL_NDC_LOCATIONS};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Why an NDC attempt did not happen / was abandoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,13 +279,13 @@ pub fn candidate_meetings(
     // banks): common links of the data routes toward the core, plus
     // any actual refill-leg overlap. ---
     if !same_bank {
-        let (route_a, route_b) = reply_routes(machine, core, l2a.bank, l2b.bank, reshape);
+        let routes = reply_routes(machine, core, l2a.bank, l2b.bank, reshape);
         let hop = cfg.noc.hop_cycles;
         let mut best_link: Option<Meeting> = None;
         // Entry time of operand X on hop k of its route: data leaves
         // the bank at data_at_bank and pays `hop` per link.
-        for (ka, la) in route_a.links.iter().enumerate() {
-            for (kb, lb) in route_b.links.iter().enumerate() {
+        for (ka, la) in routes.a().iter().enumerate() {
+            for (kb, lb) in routes.b().iter().enumerate() {
                 if la != lb {
                     continue;
                 }
@@ -400,23 +401,23 @@ pub fn candidate_meetings_fused(
     if !same_bank {
         let width = cfg.noc.width;
         let cc = core.coord(width);
-        let routes: Vec<Route> = if reshape && l2s.len() == 2 {
-            let (ra, rb) = reply_routes(machine, core, l2s[0].bank, l2s[1].bank, true);
-            vec![ra, rb]
+        let routes: Vec<Vec<LinkId>> = if reshape && l2s.len() == 2 {
+            let pair = reply_routes(machine, core, l2s[0].bank, l2s[1].bank, true);
+            vec![pair.a().to_vec(), pair.b().to_vec()]
         } else {
             l2s.iter()
-                .map(|l| machine.mesh().xy_route(l.bank.coord(width), cc))
+                .map(|l| machine.mesh().xy_route(l.bank.coord(width), cc).links)
                 .collect()
         };
         let hop = cfg.noc.hop_cycles;
         let mut best_link: Option<Meeting> = None;
         // Candidate links come from the first route; each must appear
         // on every other route too.
-        'links: for (k0, link) in routes[0].links.iter().enumerate() {
+        'links: for (k0, link) in routes[0].iter().enumerate() {
             let mut t_min = l2s[0].data_at_bank + hop * k0 as Cycle;
             let mut t_max = t_min;
             for (r, l2) in routes.iter().zip(l2s.iter()).skip(1) {
-                let Some(k) = r.links.iter().position(|l| l == link) else {
+                let Some(k) = r.iter().position(|l| l == link) else {
                     continue 'links;
                 };
                 let t = l2.data_at_bank + hop * k as Cycle;
@@ -573,7 +574,7 @@ pub fn resolve_fused(
                 .iter()
                 .position(|l| machine.mesh().link_router(*l) == chosen.node)
             {
-                machine.send_data_along(&route, k + 1, l2.data_at_bank, cfg.l1.line_bytes);
+                machine.send_data_along(&route.links[..=k], l2.data_at_bank, cfg.l1.line_bytes);
             }
         }
     }
@@ -591,27 +592,95 @@ pub fn resolve_fused(
     }
 }
 
-/// The data-reply routes used for link-overlap evaluation.
+/// The data-reply routes of two operands toward the core, as link
+/// sequences.
+#[derive(Debug, Clone)]
+pub(crate) enum ReplyRoutes {
+    /// The baseline XY routes.
+    Xy(Vec<LinkId>, Vec<LinkId>),
+    /// A reshaped pair from the run's [`ReshapeMemo`]: both link lists
+    /// in one shared slice, operand a's first.
+    Reshaped { links: Arc<[LinkId]>, split: usize },
+}
+
+impl ReplyRoutes {
+    pub(crate) fn a(&self) -> &[LinkId] {
+        match self {
+            ReplyRoutes::Xy(a, _) => a,
+            ReplyRoutes::Reshaped { links, split } => &links[..*split],
+        }
+    }
+
+    pub(crate) fn b(&self) -> &[LinkId] {
+        match self {
+            ReplyRoutes::Xy(_, b) => b,
+            ReplyRoutes::Reshaped { links, split } => &links[*split..],
+        }
+    }
+}
+
+/// `(bank_a, bank_b, core)`: the inputs of one reshaped selection.
+type ReshapeKey = (NodeId, NodeId, NodeId);
+
+/// Per-run memo of reshaped reply-route pairs.
+///
+/// Signature selection is a pure function of the mesh and the
+/// [`ReshapeKey`], yet one offload asks for it up to three times
+/// (candidate enumeration, link charging, instrumentation) and a run
+/// repeats the same few thousand keys over and over. The memo lives in
+/// the [`Machine`], so it is dropped with the run; the mutex keeps it
+/// usable from the lane engine's shared read-only machine.
+#[derive(Debug, Default)]
+pub(crate) struct ReshapeMemo {
+    pairs: Mutex<FxHashMap<ReshapeKey, ReplyRoutes>>,
+}
+
+impl ReshapeMemo {
+    /// Number of distinct pairs selected so far.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, FxHashMap<ReshapeKey, ReplyRoutes>> {
+        // Every update is one whole-entry insert, so a guard poisoned by
+        // another thread's panic still holds a valid map.
+        self.pairs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The data-reply routes used for link-overlap evaluation: XY, or the
+/// signature pair maximizing link overlap (memoized per run).
 pub(crate) fn reply_routes(
     machine: &Machine,
     core: NodeId,
     bank_a: NodeId,
     bank_b: NodeId,
     reshape: bool,
-) -> (Route, Route) {
+) -> ReplyRoutes {
     let width = machine.cfg.noc.width;
     let ca = bank_a.coord(width);
     let cb = bank_b.coord(width);
     let cc = core.coord(width);
-    if reshape {
-        let pair = best_signature_pair(machine.mesh(), ca, cc, cb, cc);
-        (pair.route_a, pair.route_b)
-    } else {
-        (
-            machine.mesh().xy_route(ca, cc),
-            machine.mesh().xy_route(cb, cc),
-        )
+    if !reshape {
+        return ReplyRoutes::Xy(
+            machine.mesh().xy_route(ca, cc).links,
+            machine.mesh().xy_route(cb, cc).links,
+        );
     }
+    let key = (bank_a, bank_b, core);
+    if let Some(routes) = machine.reshaped.lock().get(&key) {
+        return routes.clone();
+    }
+    let pair = best_signature_pair(machine.mesh(), ca, cc, cb, cc);
+    let split = pair.route_a.links.len();
+    let links = pair.route_a.links.into_iter().chain(pair.route_b.links);
+    let routes = ReplyRoutes::Reshaped {
+        links: links.collect(),
+        split,
+    };
+    machine.reshaped.lock().insert(key, routes.clone());
+    routes
 }
 
 /// Parameters of one resolution attempt.
@@ -805,20 +874,17 @@ pub fn resolve_with_candidates(
     let op_ready = chosen.ready();
     if chosen.loc == NdcLocation::LinkBuffer {
         if let (Some(l2a), Some(l2b)) = (a.l2, b.l2) {
-            let (ra, rb) = reply_routes(machine, core, l2a.bank, l2b.bank, params.reshape);
-            let ka = ra
-                .links
-                .iter()
-                .position(|l| machine.mesh().link_router(*l) == chosen.node);
-            let kb = rb
-                .links
-                .iter()
-                .position(|l| machine.mesh().link_router(*l) == chosen.node);
+            let routes = reply_routes(machine, core, l2a.bank, l2b.bank, params.reshape);
+            let meet = |r: &[LinkId]| {
+                r.iter()
+                    .position(|l| machine.mesh().link_router(*l) == chosen.node)
+            };
+            let (ka, kb) = (meet(routes.a()), meet(routes.b()));
             if let Some(k) = ka {
-                machine.send_data_along(&ra, k + 1, l2a.data_at_bank, cfg.l1.line_bytes);
+                machine.send_data_along(&routes.a()[..=k], l2a.data_at_bank, cfg.l1.line_bytes);
             }
             if let Some(k) = kb {
-                machine.send_data_along(&rb, k + 1, l2b.data_at_bank, cfg.l1.line_bytes);
+                machine.send_data_along(&routes.b()[..=k], l2b.data_at_bank, cfg.l1.line_bytes);
             }
         }
     }
@@ -890,9 +956,6 @@ pub fn breakeven_by_location(
 pub fn all_locations() -> [NdcLocation; 4] {
     ALL_NDC_LOCATIONS
 }
-
-/// Alias used by the engine: a resolution request's full inputs.
-pub struct NdcResolution;
 
 #[cfg(test)]
 mod tests {
@@ -1135,6 +1198,73 @@ mod tests {
         assert!(w[NdcLocation::CacheController.index()].is_some());
         // Cold misses to the same MC: the MC window exists too.
         assert!(w[NdcLocation::MemoryController.index()].is_some());
+    }
+
+    /// Reshaped offloads on a 16×16 mesh (routes both within and past
+    /// the 10-hop exhaustive bound) give the same outcomes and network
+    /// counters whether every offload starts on an empty memo or the
+    /// memo already holds every pair the run asks for.
+    #[test]
+    fn reshaped_offloads_match_on_cold_and_warm_memo() {
+        let mut cfg = ArchConfig::with_mesh(16, 16);
+        cfg.ndc.enabled_mask = ndc_types::NdcConfig::only(NdcLocation::LinkBuffer);
+        let run = |memo: ReshapeMemo, cold: bool| {
+            let mut m = Machine::new(cfg);
+            m.reshaped = memo;
+            let mut tables = ServiceTables::default();
+            let mut g = ndc_types::SplitMix64::new(0x3e5a);
+            let mut outcomes = Vec::new();
+            for k in 0..400u64 {
+                if cold {
+                    m.reshaped = ReshapeMemo::default();
+                }
+                let core = NodeId(g.below(256) as u16);
+                let line = m.cfg.l2.line_bytes;
+                // A small address pool so pairs repeat across the run.
+                let (a, b) = (g.below(48) * line, g.below(48) * line);
+                let t = 40 * k;
+                let pa = m.access(core, a, t, false, AccessIntent::NearData, None);
+                let pb = m.access(core, b, t, false, AccessIntent::NearData, None);
+                let params = ResolveParams {
+                    policy: LocationPolicy::FirstOnPath,
+                    budget: None,
+                    reshape: true,
+                    ignore_limits: true,
+                };
+                outcomes.push(resolve(
+                    &mut m,
+                    &mut tables,
+                    core,
+                    Op::Add,
+                    &pa,
+                    &pb,
+                    t,
+                    params,
+                ));
+            }
+            let net = (m.net.messages, m.net.flit_hops, m.net.queueing_cycles);
+            (outcomes, net, std::mem::take(&mut m.reshaped))
+        };
+        let (cold, cold_net, _) = run(ReshapeMemo::default(), true);
+        let (_, _, warmed) = run(ReshapeMemo::default(), false);
+        let pairs = warmed.len();
+        let (warm, warm_net, after) = run(warmed, false);
+        assert_eq!(after.len(), pairs, "the warm run found every pair memoized");
+        assert_eq!(cold, warm);
+        assert_eq!(cold_net, warm_net);
+        let linked = cold
+            .iter()
+            .filter(|o| {
+                matches!(
+                    o,
+                    NdcOutcome::Performed {
+                        loc: NdcLocation::LinkBuffer,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert!(linked > 0, "no offload met on a reshaped link");
     }
 
     #[test]
