@@ -1,11 +1,13 @@
 //! Microbenchmarks of the substrates: cache accesses, DRAM requests,
-//! XY routing, signature selection (5×5 and 16×16 meshes).
+//! XY routing, whole memory accesses, signature selection (5×5 and
+//! 16×16 meshes).
 
 use bench::Harness;
 use ndc_mem::{MemoryController, SetAssocCache};
 use ndc_noc::{best_signature_pair, Mesh, Network};
+use ndc_sim::machine::{AccessIntent, AccessPath, Machine};
 use ndc_sim::queue::ReadyQueue;
-use ndc_types::{ArchConfig, Coord, SplitMix64};
+use ndc_types::{ArchConfig, Coord, NodeId, SplitMix64};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -19,6 +21,34 @@ fn main() {
         h.bench("cache_access_stream", || {
             addr = addr.wrapping_add(64) % (1 << 20);
             cache.access(addr, 0, false)
+        });
+    }
+
+    // A 64-way L2 bank under a 1 MiB stream (twice its capacity): every
+    // access misses and scans the full set for its victim.
+    {
+        let mut cache = SetAssocCache::new(cfg.l2);
+        let mut addr = 0u64;
+        h.bench("l2_cache_access_64way", || {
+            addr = addr.wrapping_add(cfg.l2.line_bytes) % (1 << 20);
+            cache.access(addr, 0, false)
+        });
+    }
+
+    // One whole conventional access on the 5×5 mesh that misses L1 and
+    // L2: request, MC request, DRAM, refill and reply legs, into a
+    // reused path as the engine issues it.
+    {
+        let mut machine = Machine::new(cfg);
+        let mut path = AccessPath::default();
+        let mut addr = 0u64;
+        let mut t = 0u64;
+        h.bench("machine_access_l2_miss_5x5", || {
+            addr = addr.wrapping_add(cfg.l2.line_bytes) % (1 << 34);
+            t += 40;
+            let core = NodeId((t / 40 % 25) as u16);
+            machine.access_into(&mut path, core, addr, t, false, AccessIntent::ToCore);
+            path.completion
         });
     }
 

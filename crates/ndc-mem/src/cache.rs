@@ -6,7 +6,7 @@
 //! operand has been L2-resident when the other arrives (the
 //! cache-controller arrival window of Figure 2b).
 
-use ndc_types::{Addr, CacheConfig, Cycle};
+use ndc_types::{Addr, CacheConfig, Cycle, FxHashSet};
 
 /// Outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,36 +56,74 @@ impl CacheStats {
     }
 }
 
+/// Tag of an empty way. Real tags are `addr / line_bytes / sets`, so
+/// they never reach it.
+const INVALID: u64 = u64::MAX;
+
+/// Address → line index → (set, tag) arithmetic. Every shipped
+/// geometry has a power-of-two line size and set count, which split
+/// with shifts and a mask; any other geometry divides.
 #[derive(Debug, Clone, Copy)]
-struct LineEntry {
-    tag: u64,
-    /// Monotone LRU stamp: larger = more recently used.
-    lru: u64,
-    filled_at: Cycle,
-    dirty: bool,
-    valid: bool,
+struct Split {
+    line_bytes: u64,
+    sets: u64,
+    /// `(log2 line_bytes, log2 sets)` when both are powers of two.
+    shifts: Option<(u32, u32)>,
 }
 
-const INVALID: LineEntry = LineEntry {
-    tag: 0,
-    lru: 0,
-    filled_at: 0,
-    dirty: false,
-    valid: false,
-};
+impl Split {
+    fn new(line_bytes: u64, sets: u64) -> Split {
+        let pow2 = line_bytes.is_power_of_two() && sets.is_power_of_two();
+        Split {
+            line_bytes,
+            sets,
+            shifts: pow2.then(|| (line_bytes.trailing_zeros(), sets.trailing_zeros())),
+        }
+    }
+
+    #[inline]
+    fn line(&self, addr: Addr) -> u64 {
+        match self.shifts {
+            Some((line_shift, _)) => addr >> line_shift,
+            None => addr / self.line_bytes,
+        }
+    }
+
+    /// `(set, tag)` of a line index.
+    #[inline]
+    fn set_tag(&self, line: u64) -> (usize, u64) {
+        match self.shifts {
+            Some((_, set_shift)) => ((line & (self.sets - 1)) as usize, line >> set_shift),
+            None => ((line % self.sets) as usize, line / self.sets),
+        }
+    }
+}
 
 /// A set-associative, write-allocate, LRU cache.
+///
+/// Way state is kept structure-of-arrays: the hit, probe and invalidate
+/// paths scan only the dense tag array (64 ways of an L2 set are eight
+/// host cache lines), and LRU stamps and fill times are touched only for
+/// the way that hit or is being filled.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
     sets: u64,
     ways: usize,
-    /// `sets * ways` entries, row-major by set.
-    lines: Vec<LineEntry>,
+    split: Split,
+    /// `sets * ways` tags, row-major by set; [`INVALID`] marks an empty
+    /// way.
+    tags: Vec<u64>,
+    /// Monotone LRU stamp per way: larger = more recently used.
+    lru: Vec<u64>,
+    /// Fill cycle per way.
+    filled_at: Vec<Cycle>,
+    /// Valid ways per set: a full set skips the search for an empty way.
+    valid: Vec<u32>,
     lru_clock: u64,
     /// Lines whose next miss should count as a coherence miss because
     /// an invalidation (not capacity/conflict pressure) removed them.
-    invalidated: std::collections::HashSet<Addr>,
+    invalidated: FxHashSet<Addr>,
     pub stats: CacheStats,
 }
 
@@ -94,13 +132,18 @@ impl SetAssocCache {
         let sets = cfg.sets();
         assert!(sets > 0, "cache must have at least one set");
         let ways = cfg.ways as usize;
+        let n = (sets as usize) * ways;
         SetAssocCache {
             cfg,
             sets,
             ways,
-            lines: vec![INVALID; (sets as usize) * ways],
+            split: Split::new(cfg.line_bytes, sets),
+            tags: vec![INVALID; n],
+            lru: vec![0; n],
+            filled_at: vec![0; n],
+            valid: vec![0; sets as usize],
             lru_clock: 0,
-            invalidated: std::collections::HashSet::new(),
+            invalidated: FxHashSet::default(),
             stats: CacheStats::default(),
         }
     }
@@ -111,136 +154,106 @@ impl SetAssocCache {
 
     /// Line-aligned address of the block containing `addr`.
     pub fn line_addr(&self, addr: Addr) -> Addr {
-        addr / self.cfg.line_bytes * self.cfg.line_bytes
+        self.split.line(addr) * self.cfg.line_bytes
     }
 
-    fn set_of(&self, addr: Addr) -> usize {
-        ((addr / self.cfg.line_bytes) % self.sets) as usize
+    /// `(set, tag)` of the line holding `addr`.
+    #[inline]
+    fn locate(&self, addr: Addr) -> (usize, u64) {
+        self.split.set_tag(self.split.line(addr))
     }
 
-    fn tag_of(&self, addr: Addr) -> u64 {
-        addr / self.cfg.line_bytes / self.sets
-    }
-
-    fn set_slice(&mut self, set: usize) -> &mut [LineEntry] {
+    /// Way index of `tag` in `set`, if resident.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
-        &mut self.lines[base..base + self.ways]
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| base + w)
     }
 
     /// Access `addr` at cycle `now`. On a miss the line is allocated
     /// (fills are modelled as instantaneous at `now`; the *latency* of
     /// the fill is the caller's concern — it knows the full path cost).
-    pub fn access(&mut self, addr: Addr, now: Cycle, is_write: bool) -> AccessOutcome {
-        let line_addr = self.line_addr(addr);
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
+    /// Reads and writes allocate alike; dirtiness is not modelled.
+    pub fn access(&mut self, addr: Addr, now: Cycle, _is_write: bool) -> AccessOutcome {
+        let line = self.split.line(addr);
+        let (set, tag) = self.split.set_tag(line);
         self.lru_clock += 1;
         let clock = self.lru_clock;
 
-        if let Some(e) = self
-            .set_slice(set)
-            .iter_mut()
-            .find(|e| e.valid && e.tag == tag)
-        {
-            e.lru = clock;
-            e.dirty |= is_write;
-            let filled_at = e.filled_at;
+        if let Some(i) = self.find(set, tag) {
+            self.lru[i] = clock;
             self.stats.hits += 1;
-            return AccessOutcome::Hit { filled_at };
+            return AccessOutcome::Hit {
+                filled_at: self.filled_at[i],
+            };
         }
 
-        // Miss: allocate, evicting LRU if the set is full.
+        // Miss: allocate into the first empty way, else evict the first
+        // least-recently-used one.
         self.stats.misses += 1;
-        let coherence = self.invalidated.remove(&line_addr);
+        let coherence =
+            !self.invalidated.is_empty() && self.invalidated.remove(&(line * self.cfg.line_bytes));
         if coherence {
             self.stats.coherence_misses += 1;
         }
-        let sets = self.sets;
-        let line_bytes = self.cfg.line_bytes;
-        let slot = {
-            let set_lines = self.set_slice(set);
-            let mut victim = 0usize;
-            let mut victim_lru = u64::MAX;
-            let mut found_invalid = false;
-            for (i, e) in set_lines.iter().enumerate() {
-                if !e.valid {
-                    victim = i;
-                    found_invalid = true;
-                    break;
-                }
-                if e.lru < victim_lru {
-                    victim_lru = e.lru;
-                    victim = i;
+        let ways = set * self.ways..(set + 1) * self.ways;
+        let (victim, evicted) = if (self.valid[set] as usize) < self.ways {
+            self.valid[set] += 1;
+            let w = self.tags[ways.clone()].iter().position(|&t| t == INVALID);
+            (
+                ways.start + w.expect("a set below capacity has an empty way"),
+                None,
+            )
+        } else {
+            let lru = &self.lru[ways.clone()];
+            let (mut victim, mut oldest) = (0, lru[0]);
+            for (w, &stamp) in lru.iter().enumerate() {
+                if stamp < oldest {
+                    (victim, oldest) = (w, stamp);
                 }
             }
-            (victim, found_invalid)
-        };
-        let (victim, was_invalid) = slot;
-        let evicted = if was_invalid {
-            None
-        } else {
-            let e = &self.set_slice(set)[victim];
-            let evicted_addr = (e.tag * sets + set as u64) * line_bytes;
-            Some(evicted_addr)
-        };
-        if evicted.is_some() {
+            let victim = ways.start + victim;
+            let line = self.tags[victim] * self.sets + set as u64;
             self.stats.evictions += 1;
-        }
-        self.set_slice(set)[victim] = LineEntry {
-            tag,
-            lru: clock,
-            filled_at: now,
-            dirty: is_write,
-            valid: true,
+            (victim, Some(line * self.cfg.line_bytes))
         };
+        self.tags[victim] = tag;
+        self.lru[victim] = clock;
+        self.filled_at[victim] = now;
         AccessOutcome::Miss { evicted, coherence }
     }
 
     /// Non-mutating residency probe (the LD/ST unit's "local $ probe"
     /// before offloading, Figure 1).
     pub fn probe(&self, addr: Addr) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .any(|e| e.valid && e.tag == tag)
+        let (set, tag) = self.locate(addr);
+        self.find(set, tag).is_some()
     }
 
     /// Fill time of a resident line, if resident.
     pub fn resident_since(&self, addr: Addr) -> Option<Cycle> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .find(|e| e.valid && e.tag == tag)
-            .map(|e| e.filled_at)
+        let (set, tag) = self.locate(addr);
+        self.find(set, tag).map(|i| self.filled_at[i])
     }
 
     /// Remove a line (directory-initiated invalidation). The next demand
     /// miss on this line is counted as a coherence miss.
     pub fn invalidate(&mut self, addr: Addr) {
-        let line_addr = self.line_addr(addr);
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let mut hit = false;
-        for e in self.set_slice(set) {
-            if e.valid && e.tag == tag {
-                e.valid = false;
-                hit = true;
-                break;
-            }
-        }
-        if hit {
+        let (set, tag) = self.locate(addr);
+        if let Some(i) = self.find(set, tag) {
+            self.tags[i] = INVALID;
+            self.valid[set] -= 1;
             self.stats.invalidations += 1;
-            self.invalidated.insert(line_addr);
+            self.invalidated.insert(self.line_addr(addr));
         }
     }
 
     /// Number of currently-valid lines (tests and occupancy metrics).
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|e| e.valid).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 }
 
@@ -361,6 +374,201 @@ mod tests {
         match c.access(64 + 512, 3, false) {
             AccessOutcome::Miss { evicted, .. } => assert_eq!(evicted, Some(64)),
             _ => panic!("expected miss"),
+        }
+    }
+
+    /// The array-of-structs cache the dense tag array replaced, kept as
+    /// the reference it is diffed against.
+    mod reference {
+        use super::super::AccessOutcome;
+        use ndc_types::{Addr, CacheConfig, Cycle};
+
+        #[derive(Clone, Copy)]
+        struct LineEntry {
+            tag: u64,
+            lru: u64,
+            filled_at: Cycle,
+            valid: bool,
+        }
+
+        pub struct AosCache {
+            cfg: CacheConfig,
+            sets: u64,
+            ways: usize,
+            lines: Vec<LineEntry>,
+            lru_clock: u64,
+            invalidated: std::collections::HashSet<Addr>,
+            pub stats: super::CacheStats,
+        }
+
+        impl AosCache {
+            pub fn new(cfg: CacheConfig) -> Self {
+                let sets = cfg.sets();
+                let ways = cfg.ways as usize;
+                let invalid = LineEntry {
+                    tag: 0,
+                    lru: 0,
+                    filled_at: 0,
+                    valid: false,
+                };
+                AosCache {
+                    cfg,
+                    sets,
+                    ways,
+                    lines: vec![invalid; sets as usize * ways],
+                    lru_clock: 0,
+                    invalidated: Default::default(),
+                    stats: Default::default(),
+                }
+            }
+
+            fn set_tag(&self, addr: Addr) -> (usize, u64) {
+                let set = ((addr / self.cfg.line_bytes) % self.sets) as usize;
+                (set * self.ways, addr / self.cfg.line_bytes / self.sets)
+            }
+
+            pub fn access(&mut self, addr: Addr, now: Cycle) -> AccessOutcome {
+                let line_addr = addr / self.cfg.line_bytes * self.cfg.line_bytes;
+                let (base, tag) = self.set_tag(addr);
+                self.lru_clock += 1;
+                let clock = self.lru_clock;
+                let set = &mut self.lines[base..base + self.ways];
+                if let Some(e) = set.iter_mut().find(|e| e.valid && e.tag == tag) {
+                    e.lru = clock;
+                    self.stats.hits += 1;
+                    return AccessOutcome::Hit {
+                        filled_at: e.filled_at,
+                    };
+                }
+                self.stats.misses += 1;
+                let coherence = self.invalidated.remove(&line_addr);
+                if coherence {
+                    self.stats.coherence_misses += 1;
+                }
+                let mut victim = 0usize;
+                let mut victim_lru = u64::MAX;
+                let mut found_invalid = false;
+                for (i, e) in set.iter().enumerate() {
+                    if !e.valid {
+                        victim = i;
+                        found_invalid = true;
+                        break;
+                    }
+                    if e.lru < victim_lru {
+                        victim_lru = e.lru;
+                        victim = i;
+                    }
+                }
+                let evicted = (!found_invalid).then(|| {
+                    let set_index = (base / self.ways) as u64;
+                    (set[victim].tag * self.sets + set_index) * self.cfg.line_bytes
+                });
+                if evicted.is_some() {
+                    self.stats.evictions += 1;
+                }
+                set[victim] = LineEntry {
+                    tag,
+                    lru: clock,
+                    filled_at: now,
+                    valid: true,
+                };
+                AccessOutcome::Miss { evicted, coherence }
+            }
+
+            pub fn probe(&self, addr: Addr) -> bool {
+                let (base, tag) = self.set_tag(addr);
+                self.lines[base..base + self.ways]
+                    .iter()
+                    .any(|e| e.valid && e.tag == tag)
+            }
+
+            pub fn resident_since(&self, addr: Addr) -> Option<Cycle> {
+                let (base, tag) = self.set_tag(addr);
+                self.lines[base..base + self.ways]
+                    .iter()
+                    .find(|e| e.valid && e.tag == tag)
+                    .map(|e| e.filled_at)
+            }
+
+            pub fn invalidate(&mut self, addr: Addr) {
+                let line_addr = addr / self.cfg.line_bytes * self.cfg.line_bytes;
+                let (base, tag) = self.set_tag(addr);
+                let ways = self.ways;
+                if let Some(e) = self.lines[base..base + ways]
+                    .iter_mut()
+                    .find(|e| e.valid && e.tag == tag)
+                {
+                    e.valid = false;
+                    self.stats.invalidations += 1;
+                    self.invalidated.insert(line_addr);
+                }
+            }
+
+            pub fn occupancy(&self) -> usize {
+                self.lines.iter().filter(|e| e.valid).count()
+            }
+        }
+    }
+
+    /// Diff a seeded access/probe/invalidate stream against the
+    /// reference. The address pool is a few times the cache's capacity
+    /// so sets fill, evict and refill.
+    fn diff_against_reference(cfg: CacheConfig, seed: u64, ops: usize) {
+        let mut dense = SetAssocCache::new(cfg);
+        let mut aos = reference::AosCache::new(cfg);
+        let mut g = ndc_types::SplitMix64::new(seed);
+        let lines = 3 * cfg.size_bytes / cfg.line_bytes;
+        for now in 0..ops as u64 {
+            let addr = g.below(lines) * cfg.line_bytes + g.below(cfg.line_bytes);
+            match g.below(8) {
+                0 => {
+                    dense.invalidate(addr);
+                    aos.invalidate(addr);
+                }
+                1 => {
+                    assert_eq!(dense.probe(addr), aos.probe(addr));
+                    assert_eq!(dense.resident_since(addr), aos.resident_since(addr));
+                }
+                k => assert_eq!(
+                    dense.access(addr, now, k == 2),
+                    aos.access(addr, now),
+                    "op {now} addr {addr:#x}"
+                ),
+            }
+        }
+        assert_eq!(dense.stats, aos.stats);
+        assert_eq!(dense.occupancy(), aos.occupancy());
+        assert!(dense.stats.evictions > 0 && dense.stats.coherence_misses > 0);
+    }
+
+    #[test]
+    fn dense_tags_match_reference_at_l1_geometry() {
+        let l1 = ndc_types::ArchConfig::paper_default().l1;
+        assert_eq!(l1.ways, 2);
+        for seed in [1, 2, 3] {
+            diff_against_reference(l1, seed, 200_000);
+        }
+    }
+
+    #[test]
+    fn dense_tags_match_reference_at_a_non_power_of_two_geometry() {
+        // 3 sets x 4 ways: addresses split by division, not shifts.
+        let odd = CacheConfig {
+            size_bytes: 3 * 4 * 64,
+            line_bytes: 64,
+            ways: 4,
+            latency: 2,
+        };
+        assert_eq!(odd.sets(), 3);
+        diff_against_reference(odd, 6, 50_000);
+    }
+
+    #[test]
+    fn dense_tags_match_reference_at_l2_geometry() {
+        let l2 = ndc_types::ArchConfig::paper_default().l2;
+        assert_eq!(l2.ways, 64);
+        for seed in [4, 5] {
+            diff_against_reference(l2, seed, 100_000);
         }
     }
 }

@@ -23,8 +23,8 @@ pub mod network;
 pub mod signature;
 
 pub use lane::LanePlanner;
-pub use mesh::{LinkId, Mesh, Route};
-pub use network::{LinkObs, LinkTraversal, Network, TraversalRecord};
+pub use mesh::{LinkId, Mesh, Route, XyLinks};
+pub use network::{Delivery, LinkObs, LinkTraversal, Network, TraversalRecord};
 pub use signature::{best_signature_pair, minimal_routes, RouteSignature, SignaturePair};
 
 #[cfg(test)]

@@ -156,27 +156,38 @@ impl Mesh {
     /// Y. This is the baseline routing of the simulated machine
     /// (Table 1: "XY-routing").
     pub fn xy_route(&self, src: Coord, dst: Coord) -> Route {
-        let mut links = Vec::with_capacity(src.manhattan(dst) as usize);
-        let mut at = src;
-        while at.x != dst.x {
-            let next = if dst.x > at.x {
-                Coord::new(at.x + 1, at.y)
-            } else {
-                Coord::new(at.x - 1, at.y)
-            };
-            links.push(self.link_between(at, next));
-            at = next;
+        Route {
+            src,
+            dst,
+            links: self.xy_links(src, dst).collect(),
         }
-        while at.y != dst.y {
-            let next = if dst.y > at.y {
-                Coord::new(at.x, at.y + 1)
-            } else {
-                Coord::new(at.x, at.y - 1)
-            };
-            links.push(self.link_between(at, next));
-            at = next;
-        }
-        Route { src, dst, links }
+    }
+
+    /// The links of [`Mesh::xy_route`], computed one at a time without
+    /// building the route. Consecutive links of one leg have
+    /// consecutive ids in the link numbering, so each leg is a start id
+    /// and a ±1 step.
+    pub fn xy_links(&self, src: Coord, dst: Coord) -> XyLinks {
+        let w1 = self.cfg.width as u32 - 1;
+        let h1 = self.cfg.height as u32 - 1;
+        let east = self.east_count();
+        let south = self.south_count();
+        let (sx, sy, dx, dy) = (src.x as u32, src.y as u32, dst.x as u32, dst.y as u32);
+        // X leg along row `sy`: east links `sy*w1 + x`, west links
+        // `east + sy*w1 + (x-1)` out of column x.
+        let x = if dx >= sx {
+            Leg::new(sy * w1 + sx, 1, dx - sx)
+        } else {
+            Leg::new(east + sy * w1 + sx - 1, u32::MAX, sx - dx)
+        };
+        // Y leg down column `dx`: south links `2*east + dx*h1 + y`,
+        // north links `2*east + south + dx*h1 + (y-1)` out of row y.
+        let y = if dy >= sy {
+            Leg::new(2 * east + dx * h1 + sy, 1, dy - sy)
+        } else {
+            Leg::new(2 * east + south + dx * h1 + sy - 1, u32::MAX, sy - dy)
+        };
+        XyLinks { x, y }
     }
 
     /// Build a route from an explicit node sequence (used by the
@@ -195,6 +206,59 @@ impl Mesh {
         }
     }
 }
+
+/// One straight leg of an XY route: `left` links starting at id
+/// `next`, each `step` (wrapping: 1 or -1) after the previous.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    next: u32,
+    step: u32,
+    left: u32,
+}
+
+impl Leg {
+    fn new(first: u32, step: u32, len: u32) -> Leg {
+        Leg {
+            next: first,
+            step,
+            left: len,
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<LinkId> {
+        if self.left == 0 {
+            return None;
+        }
+        let l = LinkId(self.next);
+        self.next = self.next.wrapping_add(self.step);
+        self.left -= 1;
+        Some(l)
+    }
+}
+
+/// Iterator over the links of an XY route (see [`Mesh::xy_links`]).
+#[derive(Debug, Clone, Copy)]
+pub struct XyLinks {
+    x: Leg,
+    y: Leg,
+}
+
+impl Iterator for XyLinks {
+    type Item = LinkId;
+
+    #[inline]
+    fn next(&mut self) -> Option<LinkId> {
+        self.x.pop().or_else(|| self.y.pop())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = (self.x.left + self.y.left) as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for XyLinks {}
 
 #[cfg(test)]
 mod tests {
@@ -293,5 +357,58 @@ mod tests {
         let m = mesh5();
         let l = m.link_between(Coord::new(1, 1), Coord::new(2, 1));
         assert_eq!(m.link_router(l), NodeId::from_coord(Coord::new(2, 1), 5));
+    }
+
+    /// The node-stepping XY route the arithmetic walk replaced, kept as
+    /// the reference it is checked against.
+    fn xy_route_reference(m: &Mesh, src: Coord, dst: Coord) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        let mut at = src;
+        while at.x != dst.x {
+            let next = if dst.x > at.x {
+                Coord::new(at.x + 1, at.y)
+            } else {
+                Coord::new(at.x - 1, at.y)
+            };
+            links.push(m.link_between(at, next));
+            at = next;
+        }
+        while at.y != dst.y {
+            let next = if dst.y > at.y {
+                Coord::new(at.x, at.y + 1)
+            } else {
+                Coord::new(at.x, at.y - 1)
+            };
+            links.push(m.link_between(at, next));
+            at = next;
+        }
+        links
+    }
+
+    #[test]
+    fn xy_links_match_the_node_stepping_route_on_every_pair() {
+        for (w, h) in [(5u16, 5u16), (1, 4), (4, 1), (3, 7), (16, 16)] {
+            let m = Mesh::new(NocConfig {
+                width: w,
+                height: h,
+                link_bytes: 16,
+                hop_cycles: 3,
+            });
+            for s in 0..m.nodes() {
+                for d in 0..m.nodes() {
+                    let src = NodeId(s as u16).coord(w);
+                    let dst = NodeId(d as u16).coord(w);
+                    let walk = m.xy_links(src, dst);
+                    assert_eq!(walk.len(), src.manhattan(dst) as usize);
+                    let links: Vec<LinkId> = walk.collect();
+                    assert_eq!(
+                        links,
+                        xy_route_reference(&m, src, dst),
+                        "{w}x{h} {src}->{dst}"
+                    );
+                    assert_eq!(m.xy_route(src, dst).links, links);
+                }
+            }
+        }
     }
 }

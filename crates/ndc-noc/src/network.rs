@@ -4,13 +4,15 @@
 //! link waits until the link frees, occupies it for
 //! `⌈bytes / link_bytes⌉` cycles (16-byte links, Table 1), and pays the
 //! router pipeline (`hop_cycles`, 3 by default) to move to the next
-//! router. The per-link entry timestamps are returned so the simulator's
-//! instrumentation can compute link-buffer arrival windows: two operands
-//! co-locate at a router when their messages traverse a common link, and
-//! the window is the gap between their entry times.
+//! router. Every message, whatever its route, takes the one walk in
+//! [`Network::send`]. Callers that read per-link entry timestamps pass
+//! a buffer for them: the simulator's instrumentation uses them to
+//! compute link-buffer arrival windows (two operands co-locate at a
+//! router when their messages traverse a common link, and the window is
+//! the gap between their entry times).
 
 use crate::mesh::{LinkId, Mesh, Route};
-use ndc_types::{Cycle, NodeId, WindowHistogram};
+use ndc_types::{Coord, Cycle, NodeId, WindowHistogram};
 
 /// Timestamp record for one link of a traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +46,16 @@ impl TraversalRecord {
     pub fn latency(&self) -> Cycle {
         self.arrived - self.departed
     }
+}
+
+/// What a sender learns about one message without per-hop records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delivery {
+    /// Cycle the head reached the destination router.
+    pub arrived: Cycle,
+    /// Link occupancy paid per hop times hops crossed (see
+    /// [`TraversalRecord::flit_hops`]).
+    pub flit_hops: u64,
 }
 
 /// Per-directed-link observability: how often the link carried a
@@ -133,34 +145,25 @@ impl Network {
             .unwrap_or_default()
     }
 
-    /// Send a message of `bytes` bytes along `route`, starting at cycle
-    /// `start`. Returns the per-link timing record. A zero-hop route
-    /// (source == destination) arrives instantly.
-    pub fn traverse(&mut self, route: &Route, start: Cycle, bytes: u64) -> TraversalRecord {
-        self.traverse_links(&route.links, start, bytes)
-    }
-
-    /// [`Network::traverse`] over a bare link sequence (a route prefix).
-    pub fn traverse_links(
+    /// Send a message of `bytes` bytes along `links`, starting at cycle
+    /// `start`: the one walk every message takes. Each hop waits for
+    /// its link to free, occupies it for the message body and pays the
+    /// router pipeline. When the caller supplies `hops`, one
+    /// [`LinkTraversal`] per hop is appended to it; nothing is recorded
+    /// otherwise. A zero-hop message arrives instantly.
+    pub fn send(
         &mut self,
-        links: &[LinkId],
+        links: impl IntoIterator<Item = LinkId>,
         start: Cycle,
         bytes: u64,
-    ) -> TraversalRecord {
+        mut hops: Option<&mut Vec<LinkTraversal>>,
+    ) -> Delivery {
         let hop = self.mesh.config().hop_cycles;
         let occupancy = bytes.div_ceil(self.mesh.config().link_bytes).max(1);
         let mut t = start;
-        let mut rec = TraversalRecord {
-            links: Vec::with_capacity(links.len()),
-            departed: start,
-            arrived: start,
-            flit_hops: occupancy * links.len() as u64,
-        };
-        self.messages += 1;
-        self.flit_hops += rec.flit_hops;
-        for &l in links {
-            let free_at = self.busy_until[l.index()];
-            let enter = t.max(free_at);
+        let mut crossed = 0u64;
+        for l in links {
+            let enter = t.max(self.busy_until[l.index()]);
             self.queueing_cycles += enter - t;
             if let Some(obs) = &mut self.obs {
                 let lo = &mut obs[l.index()];
@@ -175,16 +178,61 @@ impl Network {
             if let Some(log) = &mut self.check_log {
                 log.push((l, enter, exit));
             }
-            rec.links.push(LinkTraversal {
-                link: l,
-                enter,
-                exit,
-                router: self.mesh.link_router(l),
-            });
+            if let Some(rec) = hops.as_deref_mut() {
+                rec.push(LinkTraversal {
+                    link: l,
+                    enter,
+                    exit,
+                    router: self.mesh.link_router(l),
+                });
+            }
             t = exit;
+            crossed += 1;
         }
-        rec.arrived = t;
-        rec
+        let flit_hops = occupancy * crossed;
+        self.messages += 1;
+        self.flit_hops += flit_hops;
+        Delivery {
+            arrived: t,
+            flit_hops,
+        }
+    }
+
+    /// [`Network::send`] along the XY route `src → dst`, each link
+    /// computed as the walk reaches it.
+    pub fn send_xy(
+        &mut self,
+        src: Coord,
+        dst: Coord,
+        start: Cycle,
+        bytes: u64,
+        hops: Option<&mut Vec<LinkTraversal>>,
+    ) -> Delivery {
+        let links = self.mesh.xy_links(src, dst);
+        self.send(links, start, bytes, hops)
+    }
+
+    /// Send a message along `route` and return its full per-link
+    /// timing record.
+    pub fn traverse(&mut self, route: &Route, start: Cycle, bytes: u64) -> TraversalRecord {
+        self.traverse_links(&route.links, start, bytes)
+    }
+
+    /// [`Network::traverse`] over a bare link sequence (a route prefix).
+    pub fn traverse_links(
+        &mut self,
+        links: &[LinkId],
+        start: Cycle,
+        bytes: u64,
+    ) -> TraversalRecord {
+        let mut hops = Vec::with_capacity(links.len());
+        let sent = self.send(links.iter().copied(), start, bytes, Some(&mut hops));
+        TraversalRecord {
+            links: hops,
+            departed: start,
+            arrived: sent.arrived,
+            flit_hops: sent.flit_hops,
+        }
     }
 
     /// Latency of an uncontended traversal of `hops` hops (used for
@@ -410,5 +458,150 @@ mod tests {
         let rec = n.traverse(&r, 0, 16);
         assert_eq!(rec.links[0].router, NodeId::from_coord(Coord::new(0, 1), 5));
         assert_eq!(rec.links[1].router, NodeId::from_coord(Coord::new(0, 2), 5));
+    }
+
+    /// The per-message loop `send` replaced, kept as the reference the
+    /// walk is checked against: it builds the record as it charges.
+    fn traverse_reference(
+        n: &mut Network,
+        links: &[LinkId],
+        start: Cycle,
+        bytes: u64,
+    ) -> TraversalRecord {
+        let hop = n.mesh.config().hop_cycles;
+        let occupancy = bytes.div_ceil(n.mesh.config().link_bytes).max(1);
+        let mut t = start;
+        let mut rec = TraversalRecord {
+            links: Vec::with_capacity(links.len()),
+            departed: start,
+            arrived: start,
+            flit_hops: occupancy * links.len() as u64,
+        };
+        n.messages += 1;
+        n.flit_hops += rec.flit_hops;
+        for &l in links {
+            let free_at = n.busy_until[l.index()];
+            let enter = t.max(free_at);
+            n.queueing_cycles += enter - t;
+            if let Some(obs) = &mut n.obs {
+                let lo = &mut obs[l.index()];
+                lo.traversals += 1;
+                lo.busy_cycles += occupancy;
+                lo.queue_delay.record(Some(enter - t));
+            }
+            n.busy_until[l.index()] = enter + occupancy;
+            let exit = enter + hop;
+            if let Some(log) = &mut n.check_log {
+                log.push((l, enter, exit));
+            }
+            rec.links.push(LinkTraversal {
+                link: l,
+                enter,
+                exit,
+                router: n.mesh.link_router(l),
+            });
+            t = exit;
+        }
+        rec.arrived = t;
+        rec
+    }
+
+    fn observed(mesh: &Mesh) -> Network {
+        let mut n = Network::new(mesh.clone());
+        n.enable_obs();
+        n.enable_check_log();
+        n
+    }
+
+    fn assert_same_state(a: &Network, b: &Network) {
+        assert_eq!(a.busy_until, b.busy_until);
+        assert_eq!(
+            (a.messages, a.queueing_cycles, a.flit_hops),
+            (b.messages, b.queueing_cycles, b.flit_hops)
+        );
+        assert_eq!(a.obs.as_ref().unwrap().len(), b.obs.as_ref().unwrap().len());
+        for (x, y) in a.obs.iter().flatten().zip(b.obs.iter().flatten()) {
+            assert_eq!(
+                (x.traversals, x.busy_cycles, &x.queue_delay),
+                (y.traversals, y.busy_cycles, &y.queue_delay)
+            );
+        }
+        assert_eq!(a.check_log, b.check_log);
+    }
+
+    /// Replays one message stream three ways — the arithmetic XY walk
+    /// with a hop buffer, `traverse(&xy_route)`, and the reference loop
+    /// — and checks they leave identical records and network state.
+    fn check_walk_equivalence(mesh: &Mesh, msgs: &[(Coord, Coord, Cycle, u64)]) {
+        let (mut walk, mut routed, mut reference) =
+            (observed(mesh), observed(mesh), observed(mesh));
+        let mut hops = Vec::new();
+        for &(src, dst, start, bytes) in msgs {
+            hops.clear();
+            let sent = walk.send_xy(src, dst, start, bytes, Some(&mut hops));
+            let route = mesh.xy_route(src, dst);
+            let rec = routed.traverse(&route, start, bytes);
+            let want = traverse_reference(&mut reference, &route.links, start, bytes);
+            assert_eq!(hops, want.links);
+            assert_eq!(rec.links, want.links);
+            assert_eq!(
+                (sent.arrived, sent.flit_hops),
+                (want.arrived, want.flit_hops)
+            );
+            assert_eq!((rec.arrived, rec.flit_hops), (want.arrived, want.flit_hops));
+        }
+        assert_same_state(&walk, &reference);
+        assert_same_state(&routed, &reference);
+    }
+
+    #[test]
+    fn xy_walk_matches_reference_on_every_5x5_pair() {
+        let n = net();
+        let mesh = n.mesh().clone();
+        let mut msgs = Vec::new();
+        // Every ordered pair, twice at overlapping start times so later
+        // messages queue behind earlier ones, with mixed message sizes.
+        for round in 0..2u64 {
+            for s in 0..25u16 {
+                for d in 0..25u16 {
+                    let start = round * 7 + (s as u64 % 5);
+                    let bytes = [16, 64, 256][(s as usize + d as usize) % 3];
+                    msgs.push((NodeId(s).coord(5), NodeId(d).coord(5), start, bytes));
+                }
+            }
+        }
+        check_walk_equivalence(&mesh, &msgs);
+    }
+
+    #[test]
+    fn xy_walk_matches_reference_on_a_seeded_16x16_sample() {
+        let mesh = Mesh::new(NocConfig {
+            width: 16,
+            height: 16,
+            link_bytes: 16,
+            hop_cycles: 3,
+        });
+        let mut g = ndc_types::SplitMix64::new(0x9a1c);
+        let msgs: Vec<_> = (0..2000u64)
+            .map(|k| {
+                let src = NodeId(g.below(256) as u16).coord(16);
+                let dst = NodeId(g.below(256) as u16).coord(16);
+                (src, dst, k / 4 + g.below(20), 16 << g.below(4))
+            })
+            .collect();
+        check_walk_equivalence(&mesh, &msgs);
+    }
+
+    #[test]
+    fn send_records_hops_only_into_a_supplied_buffer() {
+        let mut n = net();
+        let d = n.send_xy(Coord::new(0, 0), Coord::new(3, 2), 10, 64, None);
+        assert_eq!(d.arrived, 10 + 5 * 3);
+        assert_eq!(d.flit_hops, 4 * 5);
+        let mut hops = vec![];
+        n.send_xy(Coord::new(0, 0), Coord::new(3, 2), 10, 64, Some(&mut hops));
+        assert_eq!(hops.len(), 5);
+        // Queued 4 cycles behind the first message on its first link.
+        assert_eq!(hops[0].enter, 14);
     }
 }

@@ -10,8 +10,8 @@
 use crate::instrument::{Instrumentation, WindowObservation};
 use crate::machine::{AccessIntent, AccessPath, Machine, SpanRecorder};
 use crate::ndc::{
-    breakeven_by_location, resolve, windows_by_location, AbortReason, LocationPolicy, NdcOutcome,
-    ResolveParams, ServiceTables,
+    breakevens_of, candidate_meetings, resolve, resolve_with_candidates, windows_by_location,
+    windows_of, AbortReason, LocationPolicy, NdcOutcome, ResolveParams, ServiceTables,
 };
 use crate::report::build_metrics;
 use crate::schemes::{
@@ -40,7 +40,21 @@ struct CoreState {
     /// Sequence number of eligible (two-memory-operand) computes, for
     /// oracle guide lookup and instrumentation records.
     compute_seq: usize,
-    done: bool,
+}
+
+/// Access paths the run reuses from one instruction to the next: the
+/// machine overwrites them in place, so a steady-state access walks
+/// the hierarchy without allocating.
+#[derive(Default)]
+struct PathBufs {
+    /// First operand (or the lone load/store).
+    a: AccessPath,
+    /// Second operand.
+    b: AccessPath,
+    /// The store of a compute's result.
+    store: AccessPath,
+    /// Operand gathers of a fused pre-compute packet.
+    gather: Vec<AccessPath>,
 }
 
 /// Result of a pre-compute offload, awaiting its consumer.
@@ -351,6 +365,7 @@ impl<'a> Engine<'a> {
         let mut markov = MarkovPredictor::new();
         // Pending pre-compute results, dense per core and id.
         let mut pre_results = PreResultTable::for_program(self.prog);
+        let mut paths = PathBufs::default();
 
         // The ready queue: a time-bucketed calendar with the exact pop
         // order of the binary heap it replaced (min time, ties by max
@@ -365,7 +380,6 @@ impl<'a> Engine<'a> {
         while let Some((_, c)) = ready.pop() {
             let trace = &self.prog.traces[c];
             if states[c].idx >= trace.insts.len() {
-                states[c].done = true;
                 continue;
             }
             let inst = trace.insts[states[c].idx];
@@ -386,6 +400,7 @@ impl<'a> Engine<'a> {
                 &mut last_window,
                 &mut markov,
                 &mut pre_results,
+                &mut paths,
                 sink,
             );
             if states[c].idx < trace.insts.len() {
@@ -397,7 +412,6 @@ impl<'a> Engine<'a> {
                     st.finish = st.finish.max(t);
                 }
                 st.finish = st.finish.max(st.now);
-                st.done = true;
             }
         }
 
@@ -494,6 +508,7 @@ impl<'a> Engine<'a> {
         last_window: &mut LastWindowTable,
         markov: &mut MarkovPredictor,
         pre_results: &mut PreResultTable,
+        paths: &mut PathBufs,
         sink: &mut dyn ObsSink,
     ) {
         let issue_width = self.cfg.issue_width.max(1);
@@ -515,8 +530,9 @@ impl<'a> Engine<'a> {
             InstKind::Load { addr } => {
                 self.mshr_acquire(&mut states[c], 1, result);
                 let now = states[c].now;
-                let path = machine.access(core, addr, now, false, AccessIntent::ToCore, None);
-                record_pc_cache(result, inst.pc, 0, &path);
+                let path = &mut paths.a;
+                machine.access_into(path, core, addr, now, false, AccessIntent::ToCore);
+                record_pc_cache(result, inst.pc, 0, path);
                 let st = &mut states[c];
                 st.outstanding.push(Reverse(path.completion));
                 st.finish = st.finish.max(path.completion);
@@ -524,8 +540,9 @@ impl<'a> Engine<'a> {
             InstKind::Store { addr } => {
                 self.mshr_acquire(&mut states[c], 1, result);
                 let now = states[c].now;
-                let path = machine.access(core, addr, now, true, AccessIntent::ToCore, None);
-                record_pc_cache(result, inst.pc, 2, &path);
+                let path = &mut paths.a;
+                machine.access_into(path, core, addr, now, true, AccessIntent::ToCore);
+                record_pc_cache(result, inst.pc, 2, path);
                 let st = &mut states[c];
                 st.outstanding.push(Reverse(path.completion));
                 st.finish = st.finish.max(path.completion);
@@ -554,6 +571,7 @@ impl<'a> Engine<'a> {
                     last_window,
                     markov,
                     pre_results,
+                    paths,
                     sink,
                 );
             }
@@ -580,6 +598,7 @@ impl<'a> Engine<'a> {
                     reshape_routes,
                     result,
                     pre_results,
+                    paths,
                     sink,
                 );
             }
@@ -604,6 +623,7 @@ impl<'a> Engine<'a> {
                     reshape_routes,
                     result,
                     pre_results,
+                    paths,
                     sink,
                 );
             }
@@ -624,7 +644,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Conventional execution of a two-operand compute starting at
-    /// `start`. Returns the completion time.
+    /// `start`. Returns the completion time; memory operands' paths are
+    /// left in `paths.a` / `paths.b`.
     #[allow(clippy::too_many_arguments)]
     fn conventional_compute(
         &self,
@@ -637,36 +658,42 @@ impl<'a> Engine<'a> {
         store_to: Option<Addr>,
         start: Cycle,
         result: &mut SimResult,
-    ) -> (Cycle, Option<AccessPath>, Option<AccessPath>) {
+        paths: &mut PathBufs,
+    ) -> Cycle {
         let mut done = start;
-        let pa = match a {
-            Operand::Mem(addr) => {
-                let p = machine.access(core, addr, start, false, AccessIntent::ToCore, None);
-                record_pc_cache(result, pc, 0, &p);
-                done = done.max(p.completion);
-                Some(p)
+        for (slot, operand, path) in [(0, a, &mut paths.a), (1, b, &mut paths.b)] {
+            if let Operand::Mem(addr) = operand {
+                machine.access_into(path, core, addr, start, false, AccessIntent::ToCore);
+                record_pc_cache(result, pc, slot, path);
+                done = done.max(path.completion);
             }
-            Operand::Imm(_) => None,
-        };
-        let pb = match b {
-            Operand::Mem(addr) => {
-                let p = machine.access(core, addr, start, false, AccessIntent::ToCore, None);
-                record_pc_cache(result, pc, 1, &p);
-                done = done.max(p.completion);
-                Some(p)
-            }
-            Operand::Imm(_) => None,
-        };
+        }
         let done = done + 1; // the op itself
         if let Some(dst) = store_to {
-            let p = machine.access(core, dst, done, true, AccessIntent::ToCore, None);
-            record_pc_cache(result, pc, 2, &p);
-            st.outstanding.push(Reverse(p.completion));
-            st.finish = st.finish.max(p.completion);
+            self.store_result(machine, st, core, pc, dst, done, result, &mut paths.store);
         }
         st.outstanding.push(Reverse(done));
         st.finish = st.finish.max(done);
-        (done, pa, pb)
+        done
+    }
+
+    /// Store a compute's result conventionally at the core.
+    #[allow(clippy::too_many_arguments)]
+    fn store_result(
+        &self,
+        machine: &mut Machine,
+        st: &mut CoreState,
+        core: NodeId,
+        pc: Pc,
+        dst: Addr,
+        at: Cycle,
+        result: &mut SimResult,
+        path: &mut AccessPath,
+    ) {
+        machine.access_into(path, core, dst, at, true, AccessIntent::ToCore);
+        record_pc_cache(result, pc, 2, path);
+        st.outstanding.push(Reverse(path.completion));
+        st.finish = st.finish.max(path.completion);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -688,6 +715,7 @@ impl<'a> Engine<'a> {
         last_window: &mut LastWindowTable,
         markov: &mut MarkovPredictor,
         pre_results: &mut PreResultTable,
+        paths: &mut PathBufs,
         sink: &mut dyn ObsSink,
     ) {
         let eligible = matches!((a, b), (Operand::Mem(_), Operand::Mem(_)));
@@ -711,14 +739,11 @@ impl<'a> Engine<'a> {
                     let done = start.max(result_at_core);
                     result.ndc_performed[loc_index] += 1;
                     // Wait recorded at offload time (see exec_precompute).
-                    if let Some(dst) = store_to {
-                        let pw = machine.access(core, dst, done, true, AccessIntent::ToCore, None);
-                        record_pc_cache(result, pc, 2, &pw);
-                        let st = &mut states[c];
-                        st.outstanding.push(Reverse(pw.completion));
-                        st.finish = st.finish.max(pw.completion);
-                    }
                     let st = &mut states[c];
+                    if let Some(dst) = store_to {
+                        let pw = &mut paths.store;
+                        self.store_result(machine, st, core, pc, dst, done, result, pw);
+                    }
                     st.outstanding.push(Reverse(done));
                     st.finish = st.finish.max(done);
                     return;
@@ -727,14 +752,18 @@ impl<'a> Engine<'a> {
                     result.ndc_local_hits += 1;
                     result.ndc_abort_reasons[AbortReason::LocalHit.index()] += 1;
                     let st = &mut states[c];
-                    self.conventional_compute(machine, st, core, pc, a, b, store_to, start, result);
+                    self.conventional_compute(
+                        machine, st, core, pc, a, b, store_to, start, result, paths,
+                    );
                     return;
                 }
                 Some(PreResult::Aborted { at }) => {
                     result.ndc_aborts += 1;
                     let st = &mut states[c];
                     let begin = start.max(at);
-                    self.conventional_compute(machine, st, core, pc, a, b, store_to, begin, result);
+                    self.conventional_compute(
+                        machine, st, core, pc, a, b, store_to, begin, result, paths,
+                    );
                     return;
                 }
                 None => { /* dangling link: fall through to conventional */ }
@@ -789,7 +818,7 @@ impl<'a> Engine<'a> {
 
         let (Operand::Mem(addr_a), Operand::Mem(addr_b)) = (a, b) else {
             let st = &mut states[c];
-            self.conventional_compute(machine, st, core, pc, a, b, store_to, start, result);
+            self.conventional_compute(machine, st, core, pc, a, b, store_to, start, result, paths);
             return;
         };
 
@@ -810,12 +839,15 @@ impl<'a> Engine<'a> {
                 // Conventional execution (with instrumentation on
                 // baseline runs).
                 let st = &mut states[c];
-                let (done, pa, pb) =
-                    self.conventional_compute(machine, st, core, pc, a, b, store_to, start, result);
-                if let (Some(ins), Some(pa), Some(pb)) = (instr.as_mut(), pa, pb) {
-                    let windows = windows_by_location(machine, core, &pa, &pb, false);
-                    let windows_reshaped = windows_by_location(machine, core, &pa, &pb, true);
-                    let breakevens = breakeven_by_location(machine, core, &pa, &pb, done);
+                let done = self.conventional_compute(
+                    machine, st, core, pc, a, b, store_to, start, result, paths,
+                );
+                if let Some(ins) = instr.as_mut() {
+                    let (pa, pb) = (&paths.a, &paths.b);
+                    let cands = candidate_meetings(machine, core, pa, pb, false);
+                    let windows = windows_of(&cands);
+                    let windows_reshaped = windows_by_location(machine, core, pa, pb, true);
+                    let breakevens = breakevens_of(machine, core, &cands, done);
                     ins.record(
                         c,
                         WindowObservation {
@@ -852,26 +884,26 @@ impl<'a> Engine<'a> {
                 };
                 // LD/ST probe + operand fetches toward their homes.
                 let issue = start.saturating_sub(oracle_lead);
-                let pa = machine.access(core, addr_a, issue, false, AccessIntent::NearData, None);
-                let pb = machine.access(core, addr_b, issue, false, AccessIntent::NearData, None);
-                let outcome = resolve(
-                    machine,
-                    tables,
-                    core,
-                    op,
-                    &pa,
-                    &pb,
-                    issue,
-                    ResolveParams {
-                        policy,
-                        budget,
-                        reshape: oracle_reshape,
-                        ignore_limits: oracle_lead > 0,
-                    },
-                );
+                let (pa, pb) = (&mut paths.a, &mut paths.b);
+                machine.access_into(pa, core, addr_a, issue, false, AccessIntent::NearData);
+                machine.access_into(pb, core, addr_b, issue, false, AccessIntent::NearData);
+                // One enumeration serves the resolution (unless the
+                // oracle reshapes routes) and the predictors' window.
+                let cands = candidate_meetings(machine, core, pa, pb, false);
+                let params = ResolveParams {
+                    policy,
+                    budget,
+                    reshape: oracle_reshape,
+                    ignore_limits: oracle_lead > 0,
+                };
+                let outcome = if oracle_reshape {
+                    resolve(machine, tables, core, op, pa, pb, issue, params)
+                } else {
+                    resolve_with_candidates(machine, tables, core, op, pa, pb, issue, params, cands)
+                };
                 // Track the actual window for the Last-Wait and Markov
                 // predictors.
-                let windows = windows_by_location(machine, core, &pa, &pb, false);
+                let windows = windows_of(&cands);
                 let observed = windows.iter().flatten().min().copied();
                 last_window.set(pc, observed.unwrap_or(WINDOW_CAP + 1));
                 markov.observe(pc, observed);
@@ -930,15 +962,11 @@ impl<'a> Engine<'a> {
                         // The CPU-feed returned the result; the store
                         // (if any) executes conventionally at the core,
                         // exactly as in baseline execution.
-                        if let Some(dst) = store_to {
-                            let pw =
-                                machine.access(core, dst, done, true, AccessIntent::ToCore, None);
-                            record_pc_cache(result, pc, 2, &pw);
-                            let st = &mut states[c];
-                            st.outstanding.push(Reverse(pw.completion));
-                            st.finish = st.finish.max(pw.completion);
-                        }
                         let st = &mut states[c];
+                        if let Some(dst) = store_to {
+                            let pw = &mut paths.store;
+                            self.store_result(machine, st, core, pc, dst, done, result, pw);
+                        }
                         st.offload.push(done);
                         st.finish = st.finish.max(done);
                     }
@@ -950,7 +978,7 @@ impl<'a> Engine<'a> {
                         result.ndc_abort_reasons[AbortReason::LocalHit.index()] += 1;
                         let st = &mut states[c];
                         self.conventional_compute(
-                            machine, st, core, pc, a, b, store_to, start, result,
+                            machine, st, core, pc, a, b, store_to, start, result, paths,
                         );
                     }
                     NdcOutcome::Aborted { reason, at } => {
@@ -972,7 +1000,7 @@ impl<'a> Engine<'a> {
                         // until the abort signal came back.
                         st.offload.push(begin);
                         self.conventional_compute(
-                            machine, st, core, pc, a, b, store_to, begin, result,
+                            machine, st, core, pc, a, b, store_to, begin, result, paths,
                         );
                     }
                 }
@@ -996,6 +1024,7 @@ impl<'a> Engine<'a> {
         reshape_routes: bool,
         result: &mut SimResult,
         pre_results: &mut PreResultTable,
+        paths: &mut PathBufs,
         sink: &mut dyn ObsSink,
     ) {
         // Non-compiled schemes ignore stray pre-computes (defensive).
@@ -1033,15 +1062,16 @@ impl<'a> Engine<'a> {
         } else {
             (start + (-stagger) as Cycle, start)
         };
-        let pa = machine.access(core, a, ta, false, AccessIntent::NearData, None);
-        let pb = machine.access(core, b, tb, false, AccessIntent::NearData, None);
+        let (pa, pb) = (&mut paths.a, &mut paths.b);
+        machine.access_into(pa, core, a, ta, false, AccessIntent::NearData);
+        machine.access_into(pb, core, b, tb, false, AccessIntent::NearData);
         let outcome = resolve(
             machine,
             tables,
             core,
             op,
-            &pa,
-            &pb,
+            pa,
+            pb,
             start,
             ResolveParams {
                 policy: LocationPolicy::FirstOnPath,
@@ -1138,6 +1168,7 @@ impl<'a> Engine<'a> {
         reshape_routes: bool,
         result: &mut SimResult,
         pre_results: &mut PreResultTable,
+        paths: &mut PathBufs,
         sink: &mut dyn ObsSink,
     ) {
         // Non-compiled schemes ignore stray pre-computes (defensive).
@@ -1175,24 +1206,25 @@ impl<'a> Engine<'a> {
         } else {
             (start + (-stagger) as Cycle, start)
         };
-        let paths: Vec<AccessPath> = addrs
-            .iter()
-            .enumerate()
-            .map(|(k, &addr)| {
-                let t = match k {
-                    0 => ta,
-                    1 => tb,
-                    _ => start,
-                };
-                machine.access(core, addr, t, false, AccessIntent::NearData, None)
-            })
-            .collect();
+        let gather = &mut paths.gather;
+        if gather.len() < addrs.len() {
+            gather.resize_with(addrs.len(), AccessPath::default);
+        }
+        let gather = &mut gather[..addrs.len()];
+        for (k, (path, &addr)) in gather.iter_mut().zip(addrs).enumerate() {
+            let t = match k {
+                0 => ta,
+                1 => tb,
+                _ => start,
+            };
+            machine.access_into(path, core, addr, t, false, AccessIntent::NearData);
+        }
         let outcome = crate::ndc::resolve_fused(
             machine,
             tables,
             core,
             ops,
-            &paths,
+            gather,
             start,
             ResolveParams {
                 policy: LocationPolicy::FirstOnPath,
@@ -1322,7 +1354,7 @@ pub(crate) fn record_pc_cache(result: &mut SimResult, pc: Pc, slot: u8, path: &A
 
 /// Run a scheme end-to-end, handling the oracle's two-pass protocol.
 pub fn simulate(cfg: ArchConfig, prog: &TraceProgram, scheme: Scheme) -> EngineOutput {
-    simulate_obs(cfg, prog, scheme, ObsLevel::off())
+    simulate_with(cfg, prog, scheme, |e| e)
 }
 
 /// [`simulate`] with observability: collect per-component metrics
@@ -1335,26 +1367,7 @@ pub fn simulate_obs(
     scheme: Scheme,
     obs: ObsLevel,
 ) -> EngineOutput {
-    match scheme {
-        Scheme::Oracle { reuse_aware } => {
-            let base = Engine::new(cfg, prog, Scheme::Baseline)
-                .with_instrumentation()
-                .run();
-            let records = &base
-                .instrumentation
-                .as_ref()
-                .expect("instrumented baseline")
-                .records;
-            let guide = OracleGuide::build(records, prog, cfg.l1.line_bytes, reuse_aware);
-            let mut out = Engine::new(cfg, prog, scheme)
-                .with_guide(&guide)
-                .with_obs(obs)
-                .run();
-            out.result.scheme = scheme.label();
-            out
-        }
-        _ => Engine::new(cfg, prog, scheme).with_obs(obs).run(),
-    }
+    simulate_with(cfg, prog, scheme, |e| e.with_obs(obs))
 }
 
 /// [`simulate_obs`] with a core→tenant assignment for the attribution
@@ -1368,30 +1381,7 @@ pub fn simulate_tenants(
     obs: ObsLevel,
     tenants: Vec<u16>,
 ) -> EngineOutput {
-    match scheme {
-        Scheme::Oracle { reuse_aware } => {
-            let base = Engine::new(cfg, prog, Scheme::Baseline)
-                .with_instrumentation()
-                .run();
-            let records = &base
-                .instrumentation
-                .as_ref()
-                .expect("instrumented baseline")
-                .records;
-            let guide = OracleGuide::build(records, prog, cfg.l1.line_bytes, reuse_aware);
-            let mut out = Engine::new(cfg, prog, scheme)
-                .with_guide(&guide)
-                .with_obs(obs)
-                .with_tenants(tenants)
-                .run();
-            out.result.scheme = scheme.label();
-            out
-        }
-        _ => Engine::new(cfg, prog, scheme)
-            .with_obs(obs)
-            .with_tenants(tenants)
-            .run(),
-    }
+    simulate_with(cfg, prog, scheme, |e| e.with_obs(obs).with_tenants(tenants))
 }
 
 /// [`simulate`] with the invariant-checker stream enabled: the output's
@@ -1399,28 +1389,47 @@ pub fn simulate_tenants(
 /// For the oracle's two-pass protocol only the measured (guided) run is
 /// checked.
 pub fn simulate_checked(cfg: ArchConfig, prog: &TraceProgram, scheme: Scheme) -> EngineOutput {
+    simulate_with(cfg, prog, scheme, |e| e.with_check(CheckLevel::full()))
+}
+
+/// The one copy of the two-pass protocol: run `scheme` with `measured`
+/// configuring the measured run. An oracle first runs an instrumented
+/// baseline and then its guided pass ([`simulate_oracle_guided`]).
+fn simulate_with(
+    cfg: ArchConfig,
+    prog: &TraceProgram,
+    scheme: Scheme,
+    measured: impl for<'g> FnOnce(Engine<'g>) -> Engine<'g>,
+) -> EngineOutput {
     match scheme {
         Scheme::Oracle { reuse_aware } => {
             let base = Engine::new(cfg, prog, Scheme::Baseline)
                 .with_instrumentation()
                 .run();
-            let records = &base
+            let instr = base
                 .instrumentation
                 .as_ref()
-                .expect("instrumented baseline")
-                .records;
-            let guide = OracleGuide::build(records, prog, cfg.l1.line_bytes, reuse_aware);
-            let mut out = Engine::new(cfg, prog, scheme)
-                .with_guide(&guide)
-                .with_check(CheckLevel::full())
-                .run();
-            out.result.scheme = scheme.label();
-            out
+                .expect("instrumented baseline");
+            simulate_oracle_guided(cfg, prog, reuse_aware, instr, measured)
         }
-        _ => Engine::new(cfg, prog, scheme)
-            .with_check(CheckLevel::full())
-            .run(),
+        _ => measured(Engine::new(cfg, prog, scheme)).run(),
     }
+}
+
+/// The oracle's second pass: build the guide from `instr`, the
+/// instrumentation of a baseline run of the same `prog` and `cfg`, and
+/// run the guided oracle with `measured` configuring it. Callers that
+/// already ran the instrumented baseline pass its output here instead
+/// of simulating it again.
+pub fn simulate_oracle_guided(
+    cfg: ArchConfig,
+    prog: &TraceProgram,
+    reuse_aware: bool,
+    instr: &Instrumentation,
+    measured: impl for<'g> FnOnce(Engine<'g>) -> Engine<'g>,
+) -> EngineOutput {
+    let guide = OracleGuide::build(&instr.records, prog, cfg.l1.line_bytes, reuse_aware);
+    measured(Engine::new(cfg, prog, Scheme::Oracle { reuse_aware }).with_guide(&guide)).run()
 }
 
 #[cfg(test)]

@@ -556,25 +556,17 @@ impl LaneCore {
         if chosen.loc == NdcLocation::LinkBuffer {
             if let (Some(l2a), Some(l2b)) = (a.l2, b.l2) {
                 let routes = reply_routes(m, core, l2a.bank, l2b.bank, params.reshape);
+                let (route_a, route_b): (Vec<LinkId>, Vec<LinkId>) =
+                    (routes.a().collect(), routes.b().collect());
                 let meet = |r: &[LinkId]| {
                     r.iter()
                         .position(|l| m.mesh().link_router(*l) == chosen.node)
                 };
-                if let Some(k) = meet(routes.a()) {
-                    self.send_data_along(
-                        fz,
-                        &routes.a()[..=k],
-                        l2a.data_at_bank,
-                        cfg.l1.line_bytes,
-                    );
+                if let Some(k) = meet(&route_a) {
+                    self.send_data_along(fz, &route_a[..=k], l2a.data_at_bank, cfg.l1.line_bytes);
                 }
-                if let Some(k) = meet(routes.b()) {
-                    self.send_data_along(
-                        fz,
-                        &routes.b()[..=k],
-                        l2b.data_at_bank,
-                        cfg.l1.line_bytes,
-                    );
+                if let Some(k) = meet(&route_b) {
+                    self.send_data_along(fz, &route_b[..=k], l2b.data_at_bank, cfg.l1.line_bytes);
                 }
             }
         }

@@ -1,17 +1,19 @@
 //! The memory system walk.
 //!
-//! [`Machine::access`] models one data access's full journey: L1 probe,
-//! request over the NoC to the address's static-NUCA home L2 bank, on a
-//! miss a request to the owning memory controller and its DRAM banks,
-//! the refill back to the bank, and (for conventional accesses) the
-//! data reply to the requesting core. The returned [`AccessPath`]
-//! carries per-location presence timestamps — the raw material both for
-//! the paper's arrival-window instrumentation (Figure 2) and for NDC
-//! package resolution.
+//! [`Machine::access_into`] models one data access's full journey: L1
+//! probe, request over the NoC to the address's static-NUCA home L2
+//! bank, on a miss a request to the owning memory controller and its
+//! DRAM banks, the refill back to the bank, and (for conventional
+//! accesses) the data reply to the requesting core. The filled
+//! [`AccessPath`] carries per-location presence timestamps — the raw
+//! material both for the paper's arrival-window instrumentation
+//! (Figure 2) and for NDC package resolution. The engine reuses its
+//! paths from one access to the next, so a steady-state access walks
+//! the hierarchy without touching the heap.
 
 use crate::ndc::ReshapeMemo;
 use ndc_mem::{AccessOutcome, Directory, MemoryController, RowOutcome, SetAssocCache};
-use ndc_noc::{LinkId, LinkTraversal, Mesh, Network, Route};
+use ndc_noc::{Delivery, LinkId, LinkTraversal, Mesh, Network};
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::span::{Span, SpanSampler, SpanTrace, QUEUE, STALL};
 use ndc_obs::{chk, Event};
@@ -55,7 +57,7 @@ pub struct MemLeg {
 }
 
 /// Complete record of one access.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AccessPath {
     pub addr: Addr,
     pub core: NodeId,
@@ -72,9 +74,11 @@ pub struct AccessPath {
     /// operand's *data* was present on the network, for link-buffer
     /// window measurement.
     pub data_links: Vec<LinkTraversal>,
-    /// Request-leg link traversals (core → home L2 bank).
+    /// Request-leg link traversals (core → home L2 bank). Recorded only
+    /// while span tracing is on, the one reader of request legs.
     pub req_links: Vec<LinkTraversal>,
     /// MC-request-leg link traversals (home bank → memory controller).
+    /// Recorded only while span tracing is on.
     pub mc_links: Vec<LinkTraversal>,
     /// How many of `data_links` belong to the refill leg (MC → bank);
     /// the rest are the reply leg (bank → core).
@@ -84,6 +88,23 @@ pub struct AccessPath {
 impl AccessPath {
     pub fn latency(&self) -> Cycle {
         self.completion - self.issued
+    }
+
+    /// Start a fresh record of an access issued at `now`, keeping the
+    /// hop buffers' capacity.
+    fn reset(&mut self, core: NodeId, addr: Addr, now: Cycle) {
+        self.addr = addr;
+        self.core = core;
+        self.issued = now;
+        self.completion = now;
+        self.l1_hit = false;
+        self.coherence_miss = false;
+        self.l2 = None;
+        self.mem = None;
+        self.data_links.clear();
+        self.req_links.clear();
+        self.mc_links.clear();
+        self.refill_links = 0;
     }
 }
 
@@ -378,7 +399,8 @@ impl Machine {
 
     /// Switch on span tracing (idempotent): one request in `one_in` is
     /// sampled deterministically by id and its full path recorded as an
-    /// exact-partition span tree.
+    /// exact-partition span tree. Accesses record their request-leg hops
+    /// from here on.
     pub fn enable_spans(&mut self, one_in: u32) {
         if self.spans.is_none() {
             self.spans = Some(SpanRecorder::new(&self.cfg, one_in));
@@ -456,11 +478,7 @@ impl Machine {
         self.net.mesh()
     }
 
-    /// Walk one access through the hierarchy.
-    ///
-    /// `reply_route` overrides the bank→core data-reply route
-    /// (compiler-reshaped routes); ignored for `NearData` intents and
-    /// L1 hits.
+    /// Walk one access through the hierarchy into a fresh path.
     pub fn access(
         &mut self,
         core: NodeId,
@@ -468,48 +486,59 @@ impl Machine {
         now: Cycle,
         write: bool,
         intent: AccessIntent,
-        reply_route: Option<&Route>,
     ) -> AccessPath {
-        self.attribute_to(core);
-        let path = self.access_inner(core, addr, now, write, intent, reply_route);
-        if let Some(a) = &mut self.attr {
-            let q = path.mem.as_ref().map(|m| m.service_start - m.queue_enter);
-            a.ledger.charge_request(a.current, path.latency(), q);
-        }
-        if let Some(chk) = &mut self.chk {
-            chk.record_path(&path);
-        }
-        if let Some(spans) = &mut self.spans {
-            spans.record_path(&path);
-        }
+        let mut path = AccessPath::default();
+        self.access_into(&mut path, core, addr, now, write, intent);
         path
     }
 
-    fn access_inner(
+    /// Walk one access through the hierarchy, overwriting `path`. Reusing
+    /// one path across accesses keeps its hop buffers, so a steady-state
+    /// access allocates nothing.
+    pub fn access_into(
         &mut self,
+        path: &mut AccessPath,
         core: NodeId,
         addr: Addr,
         now: Cycle,
         write: bool,
         intent: AccessIntent,
-        reply_route: Option<&Route>,
-    ) -> AccessPath {
-        let mut path = AccessPath {
-            addr,
-            core,
-            issued: now,
-            completion: now,
-            l1_hit: false,
-            coherence_miss: false,
-            l2: None,
-            mem: None,
-            data_links: Vec::new(),
-            req_links: Vec::new(),
-            mc_links: Vec::new(),
-            refill_links: 0,
-        };
+    ) {
+        self.attribute_to(core);
+        path.reset(core, addr, now);
+        self.walk(path, write, intent);
+        if let Some(a) = &mut self.attr {
+            let q = path.mem.as_ref().map(|m| m.service_start - m.queue_enter);
+            a.ledger.charge_request(a.current, path.latency(), q);
+        }
+        if let Some(chk) = &mut self.chk {
+            chk.record_path(path);
+        }
+        if let Some(spans) = &mut self.spans {
+            spans.record_path(path);
+        }
+    }
+
+    /// Send one message along the XY route `from → to`, charging the
+    /// current tenant; hop records go to `hops` when supplied.
+    fn send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        t: Cycle,
+        bytes: u64,
+        hops: Option<&mut Vec<LinkTraversal>>,
+    ) -> Cycle {
         let width = self.cfg.noc.width;
-        let core_coord = core.coord(width);
+        let sent = self
+            .net
+            .send_xy(from.coord(width), to.coord(width), t, bytes, hops);
+        self.charge_traverse(sent.flit_hops);
+        sent.arrived
+    }
+
+    fn walk(&mut self, path: &mut AccessPath, write: bool, intent: AccessIntent) {
+        let (core, addr, now) = (path.core, path.addr, path.issued);
         let l1_latency = self.cfg.l1.latency;
         let l1_line = self.l1s[core.index()].line_addr(addr);
 
@@ -522,7 +551,7 @@ impl Machine {
                     if write {
                         self.invalidate_other_sharers(l1_line, core);
                     }
-                    return path;
+                    return;
                 }
                 AccessOutcome::Miss { evicted, coherence } => {
                     path.coherence_miss = coherence;
@@ -538,19 +567,19 @@ impl Machine {
                 if self.l1s[core.index()].probe(addr) {
                     path.l1_hit = true;
                     path.completion = now + l1_latency;
-                    return path;
+                    return;
                 }
             }
         }
 
+        // Request legs are read only by the span recorder; data legs
+        // feed link-buffer meetings too, so they are always recorded.
+        let trace_requests = self.spans.is_some();
+
         // --- Request to the home L2 bank ---
         let home = self.cfg.l2_home(addr);
-        let home_coord = home.coord(width);
-        let req_route = self.mesh().xy_route(core_coord, home_coord);
-        let req = self.net.traverse(&req_route, now + l1_latency, REQ_BYTES);
-        self.charge_traverse(req.flit_hops);
-        let req_arrival = req.arrived;
-        path.req_links = req.links;
+        let req_hops = trace_requests.then_some(&mut path.req_links);
+        let req_arrival = self.send(core, home, now + l1_latency, REQ_BYTES, req_hops);
 
         // --- L2 bank ---
         let l2_latency = self.cfg.l2.latency;
@@ -560,23 +589,21 @@ impl Machine {
                 // --- Memory controller + DRAM ---
                 let mc = self.cfg.mc_of(addr);
                 let mc_node = self.cfg.mc_node(mc);
-                let mc_coord = mc_node.coord(width);
-                let to_mc = self.mesh().xy_route(home_coord, mc_coord);
-                let mc_req = self
-                    .net
-                    .traverse(&to_mc, req_arrival + l2_latency, REQ_BYTES);
-                self.charge_traverse(mc_req.flit_hops);
-                let dram = self.mcs[mc as usize].request(addr, mc_req.arrived);
+                let mc_hops = trace_requests.then_some(&mut path.mc_links);
+                let mc_arrival =
+                    self.send(home, mc_node, req_arrival + l2_latency, REQ_BYTES, mc_hops);
+                let dram = self.mcs[mc as usize].request(addr, mc_arrival);
                 self.charge_dram();
-                path.mc_links = mc_req.links;
                 // Refill back to the bank (carries the L2 line).
-                let refill_route = self.mesh().xy_route(mc_coord, home_coord);
-                let refill =
-                    self.net
-                        .traverse(&refill_route, dram.completion, self.cfg.l2.line_bytes);
-                self.charge_traverse(refill.flit_hops);
-                path.data_links.extend(refill.links.iter().copied());
-                path.refill_links = refill.links.len();
+                let line = self.cfg.l2.line_bytes;
+                let refilled = self.send(
+                    mc_node,
+                    home,
+                    dram.completion,
+                    line,
+                    Some(&mut path.data_links),
+                );
+                path.refill_links = path.data_links.len();
                 path.mem = Some(MemLeg {
                     mc,
                     mc_node,
@@ -586,7 +613,7 @@ impl Machine {
                     dram_bank: dram.bank,
                     row: dram.row,
                 });
-                (false, refill.arrived)
+                (false, refilled)
             }
         };
         path.l2 = Some(L2Leg {
@@ -602,20 +629,9 @@ impl Machine {
             }
             AccessIntent::ToCore => {
                 // --- Data reply to the core ---
-                let xy_reply;
-                let route = match reply_route {
-                    Some(r) => r,
-                    None => {
-                        xy_reply = self.mesh().xy_route(home_coord, core_coord);
-                        &xy_reply
-                    }
-                };
-                let reply = self
-                    .net
-                    .traverse(route, data_at_bank, self.cfg.l1.line_bytes);
-                self.charge_traverse(reply.flit_hops);
-                path.data_links.extend(reply.links.iter().copied());
-                path.completion = reply.arrived + l1_latency;
+                let line = self.cfg.l1.line_bytes;
+                let replied = self.send(home, core, data_at_bank, line, Some(&mut path.data_links));
+                path.completion = replied + l1_latency;
                 // Directory bookkeeping: the core now holds the line.
                 if write {
                     self.invalidate_other_sharers(l1_line, core);
@@ -624,85 +640,31 @@ impl Machine {
                 }
             }
         }
-        path
     }
 
     fn invalidate_other_sharers(&mut self, l1_line: Addr, writer: NodeId) {
-        let others: Vec<usize> = self.dir.write_by(l1_line, writer.index()).collect();
-        for c in others {
+        for c in self.dir.write_by(l1_line, writer.index()) {
             self.l1s[c].invalidate(l1_line);
         }
-    }
-
-    /// A store performed at an NDC component: the result is written to
-    /// the destination line's home L2 bank (no L1 fill at any core),
-    /// invalidating L1 sharers. Write-allocate is honest: an L2 miss
-    /// pays the full memory-controller + DRAM path, exactly like a
-    /// conventional write, so NDC stores enjoy no phantom discount.
-    /// Returns the write completion time.
-    pub fn remote_write(&mut self, from: NodeId, addr: Addr, t: Cycle) -> Cycle {
-        let width = self.cfg.noc.width;
-        let home = self.cfg.l2_home(addr);
-        let home_coord = home.coord(width);
-        let route = self.mesh().xy_route(from.coord(width), home_coord);
-        let wr = self.net.traverse(&route, t, RESULT_BYTES);
-        self.charge_traverse(wr.flit_hops);
-        let arr = wr.arrived;
-        let done = match self.l2s[home.index()].access(addr, arr, true) {
-            AccessOutcome::Hit { .. } => arr + self.cfg.l2.latency,
-            AccessOutcome::Miss { .. } => {
-                let mc = self.cfg.mc_of(addr);
-                let mc_node = self.cfg.mc_node(mc);
-                let mc_coord = mc_node.coord(width);
-                let to_mc = self.mesh().xy_route(home_coord, mc_coord);
-                let mc_req = self
-                    .net
-                    .traverse(&to_mc, arr + self.cfg.l2.latency, REQ_BYTES);
-                self.charge_traverse(mc_req.flit_hops);
-                let dram = self.mcs[mc as usize].request(addr, mc_req.arrived);
-                self.charge_dram();
-                let back = self.mesh().xy_route(mc_coord, home_coord);
-                let refill = self
-                    .net
-                    .traverse(&back, dram.completion, self.cfg.l2.line_bytes);
-                self.charge_traverse(refill.flit_hops);
-                refill.arrived + self.cfg.l2.latency
-            }
-        };
-        let l1_line = self.l1s[0].line_addr(addr);
-        // The writer is no core: invalidate every L1 sharer.
-        let sharers: Vec<usize> = (0..self.cfg.nodes())
-            .filter(|&c| self.dir.is_sharer(l1_line, c))
-            .collect();
-        for c in sharers {
-            self.l1s[c].invalidate(l1_line);
-            self.dir.remove_sharer(l1_line, c);
-        }
-        done
     }
 
     /// Send a small point-to-point message (NDC result / CPU-feed) and
     /// return its arrival time.
     pub fn send_result(&mut self, from: NodeId, to: NodeId, t: Cycle) -> Cycle {
-        let width = self.cfg.noc.width;
-        let route = self.mesh().xy_route(from.coord(width), to.coord(width));
-        let rec = self.net.traverse(&route, t, RESULT_BYTES);
-        self.charge_traverse(rec.flit_hops);
-        rec.arrived
+        self.send(from, to, t, RESULT_BYTES, None)
     }
 
     /// Charge the network for a data message along an explicit route
-    /// prefix (NDC meeting at an intermediate router), returning the
-    /// traversal record.
+    /// prefix (NDC meeting at an intermediate router).
     pub fn send_data_along(
         &mut self,
-        links: &[LinkId],
+        links: impl IntoIterator<Item = LinkId>,
         t: Cycle,
         bytes: u64,
-    ) -> ndc_noc::TraversalRecord {
-        let rec = self.net.traverse_links(links, t, bytes);
-        self.charge_traverse(rec.flit_hops);
-        rec
+    ) -> Delivery {
+        let sent = self.net.send(links, t, bytes, None);
+        self.charge_traverse(sent.flit_hops);
+        sent
     }
 
     /// Uncontended one-way latency between two nodes (static estimates).
@@ -751,7 +713,7 @@ mod tests {
     fn cold_access_walks_full_path() {
         let mut m = machine();
         let core = NodeId(12); // center of the 5x5 mesh
-        let p = m.access(core, 0x10000, 0, false, AccessIntent::ToCore, None);
+        let p = m.access(core, 0x10000, 0, false, AccessIntent::ToCore);
         assert!(!p.l1_hit);
         let l2 = p.l2.expect("L2 leg");
         assert!(!l2.hit);
@@ -765,15 +727,8 @@ mod tests {
     fn second_access_hits_l1() {
         let mut m = machine();
         let core = NodeId(12);
-        let first = m.access(core, 0x10000, 0, false, AccessIntent::ToCore, None);
-        let second = m.access(
-            core,
-            0x10008,
-            first.completion,
-            false,
-            AccessIntent::ToCore,
-            None,
-        );
+        let first = m.access(core, 0x10000, 0, false, AccessIntent::ToCore);
+        let second = m.access(core, 0x10008, first.completion, false, AccessIntent::ToCore);
         assert!(second.l1_hit);
         assert_eq!(second.latency(), m.cfg.l1.latency);
     }
@@ -781,7 +736,7 @@ mod tests {
     #[test]
     fn l2_hit_from_another_core() {
         let mut m = machine();
-        let a = m.access(NodeId(0), 0x10000, 0, false, AccessIntent::ToCore, None);
+        let a = m.access(NodeId(0), 0x10000, 0, false, AccessIntent::ToCore);
         // Another core, different L1, same L2 home bank: L2 hit.
         let b = m.access(
             NodeId(24),
@@ -789,7 +744,6 @@ mod tests {
             a.completion,
             false,
             AccessIntent::ToCore,
-            None,
         );
         assert!(!b.l1_hit);
         let l2 = b.l2.unwrap();
@@ -803,7 +757,7 @@ mod tests {
         let mut m = machine();
         let core = NodeId(12);
         let addr = 0x20000;
-        let p = m.access(core, addr, 0, false, AccessIntent::NearData, None);
+        let p = m.access(core, addr, 0, false, AccessIntent::NearData);
         assert!(!p.l1_hit);
         let l2 = p.l2.unwrap();
         assert_eq!(p.completion, l2.data_at_bank);
@@ -817,8 +771,8 @@ mod tests {
     fn near_data_on_local_line_degenerates_to_l1_hit() {
         let mut m = machine();
         let core = NodeId(3);
-        m.access(core, 0x30000, 0, false, AccessIntent::ToCore, None);
-        let p = m.access(core, 0x30000, 1000, false, AccessIntent::NearData, None);
+        m.access(core, 0x30000, 0, false, AccessIntent::ToCore);
+        let p = m.access(core, 0x30000, 1000, false, AccessIntent::NearData);
         assert!(p.l1_hit);
     }
 
@@ -826,23 +780,23 @@ mod tests {
     fn write_invalidates_remote_sharers() {
         let mut m = machine();
         let addr = 0x40000;
-        m.access(NodeId(1), addr, 0, false, AccessIntent::ToCore, None);
-        m.access(NodeId(2), addr, 500, false, AccessIntent::ToCore, None);
+        m.access(NodeId(1), addr, 0, false, AccessIntent::ToCore);
+        m.access(NodeId(2), addr, 500, false, AccessIntent::ToCore);
         assert!(m.l1s[1].probe(addr));
         assert!(m.l1s[2].probe(addr));
         // Core 3 writes: both readers lose their copies.
-        m.access(NodeId(3), addr, 1000, true, AccessIntent::ToCore, None);
+        m.access(NodeId(3), addr, 1000, true, AccessIntent::ToCore);
         assert!(!m.l1s[1].probe(addr));
         assert!(!m.l1s[2].probe(addr));
         // Their next access is a coherence miss.
-        let p = m.access(NodeId(1), addr, 1500, false, AccessIntent::ToCore, None);
+        let p = m.access(NodeId(1), addr, 1500, false, AccessIntent::ToCore);
         assert!(p.coherence_miss);
     }
 
     #[test]
     fn presence_timestamps_are_ordered() {
         let mut m = machine();
-        let p = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore, None);
+        let p = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore);
         let l2 = p.l2.unwrap();
         let mem = p.mem.unwrap();
         assert!(p.issued <= l2.req_arrival);
@@ -857,7 +811,7 @@ mod tests {
     fn home_bank_matches_config() {
         let mut m = machine();
         let addr = 0x1234_5678;
-        let p = m.access(NodeId(0), addr, 0, false, AccessIntent::ToCore, None);
+        let p = m.access(NodeId(0), addr, 0, false, AccessIntent::ToCore);
         assert_eq!(p.l2.unwrap().bank, m.cfg.l2_home(addr));
         let mem = p.mem.unwrap();
         assert_eq!(mem.mc, m.cfg.mc_of(addr));
@@ -880,7 +834,7 @@ mod tests {
         let mut m = machine();
         m.enable_check();
         // Cold miss: full issue→l2→mem→bank→retire chain.
-        let p = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore, None);
+        let p = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore);
         // Warm L1 hit: just issue→retire.
         m.access(
             NodeId(7),
@@ -888,7 +842,6 @@ mod tests {
             p.completion,
             false,
             AccessIntent::ToCore,
-            None,
         );
         let rec = m.chk.as_ref().unwrap();
         assert_eq!(rec.requests(), 2);
@@ -912,16 +865,15 @@ mod tests {
     fn span_recorder_partitions_every_sampled_path_exactly() {
         let mut m = machine();
         m.enable_spans(1); // sample everything
-        let cold = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore, None);
+        let cold = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore);
         m.access(
             NodeId(7),
             0x50000,
             cold.completion,
             false,
             AccessIntent::ToCore,
-            None,
         ); // L1 hit
-        m.access(NodeId(3), 0x60000, 20, false, AccessIntent::NearData, None);
+        m.access(NodeId(3), 0x60000, 20, false, AccessIntent::NearData);
         let rec = m.spans.as_ref().unwrap();
         assert_eq!(rec.requests(), 3);
         assert_eq!(rec.traces().len(), 3);
@@ -975,7 +927,6 @@ mod tests {
                     i * 10,
                     false,
                     AccessIntent::ToCore,
-                    None,
                 );
             }
             m.spans
@@ -1004,10 +955,8 @@ mod tests {
                 i * 50,
                 i % 3 == 0,
                 AccessIntent::ToCore,
-                None,
             );
         }
-        m.remote_write(NodeId(4), 0x9000, 2000);
         m.send_result(NodeId(0), NodeId(24), 2500);
         let led = m.take_ledger().unwrap();
         assert_eq!(led.num_tenants(), 1);
@@ -1026,9 +975,9 @@ mod tests {
         let tenants: Vec<u16> = (0..25).map(|c| (c % 2) as u16).collect();
         let mut m = machine();
         m.enable_ledger(tenants);
-        m.access(NodeId(0), 0x1000, 0, false, AccessIntent::ToCore, None);
-        m.access(NodeId(1), 0x2000, 0, false, AccessIntent::ToCore, None);
-        m.access(NodeId(1), 0x3000, 10, false, AccessIntent::ToCore, None);
+        m.access(NodeId(0), 0x1000, 0, false, AccessIntent::ToCore);
+        m.access(NodeId(1), 0x2000, 0, false, AccessIntent::ToCore);
+        m.access(NodeId(1), 0x3000, 10, false, AccessIntent::ToCore);
         let led = m.take_ledger().unwrap();
         assert_eq!(led.num_tenants(), 2);
         assert_eq!(led.rows()[0].requests, 1);
@@ -1043,8 +992,8 @@ mod tests {
     #[test]
     fn stats_aggregate_across_nodes() {
         let mut m = machine();
-        m.access(NodeId(0), 0x1000, 0, false, AccessIntent::ToCore, None);
-        m.access(NodeId(5), 0x2000, 0, false, AccessIntent::ToCore, None);
+        m.access(NodeId(0), 0x1000, 0, false, AccessIntent::ToCore);
+        m.access(NodeId(5), 0x2000, 0, false, AccessIntent::ToCore);
         let l1 = m.l1_totals();
         assert_eq!(l1.misses, 2);
         assert_eq!(l1.hits, 0);

@@ -14,8 +14,9 @@
 //! restrict candidates via the control register.
 
 use crate::machine::{AccessPath, Machine};
-use ndc_noc::{best_signature_pair, LinkId};
+use ndc_noc::{best_signature_pair, LinkId, XyLinks};
 use ndc_types::{Cycle, FxHashMap, NdcLocation, NodeId, Op, ALL_NDC_LOCATIONS};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Why an NDC attempt did not happen / was abandoned.
@@ -96,6 +97,62 @@ impl Meeting {
 
     pub fn ready(&self) -> Cycle {
         self.t_a.max(self.t_b)
+    }
+}
+
+/// The candidate meetings of one package, in path order. There is at
+/// most one per kind — cache controller, memory side, link buffer — so
+/// the list lives inline in a fixed array.
+#[derive(Debug, Clone, Copy)]
+pub struct Meetings {
+    len: usize,
+    items: [Meeting; 3],
+}
+
+impl Meetings {
+    const UNUSED: Meeting = Meeting {
+        loc: NdcLocation::CacheController,
+        node: NodeId(0),
+        t_a: 0,
+        t_b: 0,
+    };
+
+    pub fn new() -> Meetings {
+        Meetings {
+            len: 0,
+            items: [Self::UNUSED; 3],
+        }
+    }
+
+    fn push(&mut self, m: Meeting) {
+        self.items[self.len] = m;
+        self.len += 1;
+    }
+
+    /// Keep only the meetings `keep` accepts, preserving order.
+    pub fn retain(&mut self, keep: impl Fn(&Meeting) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len {
+            if keep(&self.items[i]) {
+                self.items[kept] = self.items[i];
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+}
+
+impl Default for Meetings {
+    fn default() -> Self {
+        Meetings::new()
+    }
+}
+
+impl Deref for Meetings {
+    type Target = [Meeting];
+
+    fn deref(&self) -> &[Meeting] {
+        &self.items[..self.len]
     }
 }
 
@@ -226,8 +283,8 @@ pub fn candidate_meetings(
     a: &AccessPath,
     b: &AccessPath,
     reshape: bool,
-) -> Vec<Meeting> {
-    let mut out = Vec::with_capacity(4);
+) -> Meetings {
+    let mut out = Meetings::new();
     let cfg = &machine.cfg;
 
     // Both operands must actually travel (L1 hits never leave the
@@ -284,8 +341,8 @@ pub fn candidate_meetings(
         let mut best_link: Option<Meeting> = None;
         // Entry time of operand X on hop k of its route: data leaves
         // the bank at data_at_bank and pays `hop` per link.
-        for (ka, la) in routes.a().iter().enumerate() {
-            for (kb, lb) in routes.b().iter().enumerate() {
+        for (ka, la) in routes.a().enumerate() {
+            for (kb, lb) in routes.b().enumerate() {
                 if la != lb {
                     continue;
                 }
@@ -293,7 +350,7 @@ pub fn candidate_meetings(
                 let t_b = l2b.data_at_bank + hop * kb as Cycle;
                 let m = Meeting {
                     loc: NdcLocation::LinkBuffer,
-                    node: machine.mesh().link_router(*la),
+                    node: machine.mesh().link_router(la),
                     t_a,
                     t_b,
                 };
@@ -347,43 +404,34 @@ pub fn candidate_meetings_fused(
     core: NodeId,
     paths: &[AccessPath],
     reshape: bool,
-) -> Vec<Meeting> {
-    let mut out = Vec::with_capacity(3);
+) -> Meetings {
+    let mut out = Meetings::new();
     let cfg = &machine.cfg;
     // Every operand must actually travel.
-    let mut l2s = Vec::with_capacity(paths.len());
-    for p in paths {
-        let Some(l2) = p.l2 else {
-            return out;
-        };
-        l2s.push(l2);
-    }
-    let Some(first) = l2s.first() else {
+    if paths.is_empty() || paths.iter().any(|p| p.l2.is_none()) {
         return out;
-    };
-    let same_bank = l2s.iter().all(|l| l.bank == first.bank);
+    }
+    let l2 = |i: usize| paths[i].l2.expect("every operand reached L2");
+    let first = l2(0);
+    let same_bank = (1..paths.len()).all(|i| l2(i).bank == first.bank);
 
     // --- Cache controller: all operands homed at the same L2 bank. ---
     if same_bank {
-        let t_a = l2s.iter().map(|l| l.data_at_bank).min().unwrap_or(0);
-        let t_b = l2s.iter().map(|l| l.data_at_bank).max().unwrap_or(0);
+        let at_bank = (0..paths.len()).map(|i| l2(i).data_at_bank);
         out.push(Meeting {
             loc: NdcLocation::CacheController,
             node: first.bank,
-            t_a,
-            t_b,
+            t_a: at_bank.clone().min().unwrap_or(0),
+            t_b: at_bank.max().unwrap_or(0),
         });
     }
 
     // --- Memory side: all operands L2-missed to the same controller
     // (same DRAM bank deepens the meeting to the bank itself). ---
-    let mems: Vec<_> = paths.iter().filter_map(|p| p.mem).collect();
-    if mems.len() == paths.len() {
-        let m0 = mems[0];
-        if mems.iter().all(|m| m.mc == m0.mc) {
-            let t_a = mems.iter().map(|m| m.queue_enter).min().unwrap_or(0);
-            let t_b = mems.iter().map(|m| m.queue_enter).max().unwrap_or(0);
-            let loc = if mems.iter().all(|m| m.dram_bank == m0.dram_bank) {
+    if let Some(m0) = paths[0].mem {
+        if paths.iter().all(|p| p.mem.is_some_and(|m| m.mc == m0.mc)) {
+            let mems = paths.iter().filter_map(|p| p.mem);
+            let loc = if mems.clone().all(|m| m.dram_bank == m0.dram_bank) {
                 NdcLocation::MemoryBank
             } else {
                 NdcLocation::MemoryController
@@ -391,8 +439,8 @@ pub fn candidate_meetings_fused(
             out.push(Meeting {
                 loc,
                 node: m0.mc_node,
-                t_a,
-                t_b,
+                t_a: mems.clone().map(|m| m.queue_enter).min().unwrap_or(0),
+                t_b: mems.map(|m| m.queue_enter).max().unwrap_or(0),
             });
         }
     }
@@ -401,32 +449,31 @@ pub fn candidate_meetings_fused(
     if !same_bank {
         let width = cfg.noc.width;
         let cc = core.coord(width);
-        let routes: Vec<Vec<LinkId>> = if reshape && l2s.len() == 2 {
-            let pair = reply_routes(machine, core, l2s[0].bank, l2s[1].bank, true);
-            vec![pair.a().to_vec(), pair.b().to_vec()]
-        } else {
-            l2s.iter()
-                .map(|l| machine.mesh().xy_route(l.bank.coord(width), cc).links)
-                .collect()
+        let pair = (reshape && paths.len() == 2)
+            .then(|| reply_routes(machine, core, first.bank, l2(1).bank, true));
+        let route = |i: usize| match &pair {
+            Some(p) if i == 0 => p.a(),
+            Some(p) => p.b(),
+            None => RouteLinks::Xy(machine.mesh().xy_links(l2(i).bank.coord(width), cc)),
         };
         let hop = cfg.noc.hop_cycles;
         let mut best_link: Option<Meeting> = None;
         // Candidate links come from the first route; each must appear
         // on every other route too.
-        'links: for (k0, link) in routes[0].iter().enumerate() {
-            let mut t_min = l2s[0].data_at_bank + hop * k0 as Cycle;
+        'links: for (k0, link) in route(0).enumerate() {
+            let mut t_min = first.data_at_bank + hop * k0 as Cycle;
             let mut t_max = t_min;
-            for (r, l2) in routes.iter().zip(l2s.iter()).skip(1) {
-                let Some(k) = r.iter().position(|l| l == link) else {
+            for i in 1..paths.len() {
+                let Some(k) = route(i).position(|l| l == link) else {
                     continue 'links;
                 };
-                let t = l2.data_at_bank + hop * k as Cycle;
+                let t = l2(i).data_at_bank + hop * k as Cycle;
                 t_min = t_min.min(t);
                 t_max = t_max.max(t);
             }
             let m = Meeting {
                 loc: NdcLocation::LinkBuffer,
-                node: machine.mesh().link_router(*link),
+                node: machine.mesh().link_router(link),
                 t_a: t_min,
                 t_b: t_max,
             };
@@ -456,7 +503,7 @@ pub(crate) fn plan_resolution_fused(
     paths: &[AccessPath],
     issue: Cycle,
     params: ResolveParams,
-    mut cands: Vec<Meeting>,
+    mut cands: Meetings,
 ) -> ResolvePlan {
     if paths.iter().any(|p| p.l1_hit) {
         return ResolvePlan::Abort {
@@ -568,13 +615,12 @@ pub fn resolve_fused(
         let cc = core.coord(width);
         for p in paths {
             let Some(l2) = p.l2 else { continue };
-            let route = machine.mesh().xy_route(l2.bank.coord(width), cc);
+            let route = machine.mesh().xy_links(l2.bank.coord(width), cc);
             if let Some(k) = route
-                .links
-                .iter()
-                .position(|l| machine.mesh().link_router(*l) == chosen.node)
+                .clone()
+                .position(|l| machine.mesh().link_router(l) == chosen.node)
             {
-                machine.send_data_along(&route.links[..=k], l2.data_at_bank, cfg.l1.line_bytes);
+                machine.send_data_along(route.take(k + 1), l2.data_at_bank, cfg.l1.line_bytes);
             }
         }
     }
@@ -592,29 +638,47 @@ pub fn resolve_fused(
     }
 }
 
-/// The data-reply routes of two operands toward the core, as link
-/// sequences.
+/// The data-reply routes of two operands toward the core.
 #[derive(Debug, Clone)]
 pub(crate) enum ReplyRoutes {
-    /// The baseline XY routes.
-    Xy(Vec<LinkId>, Vec<LinkId>),
+    /// The baseline XY routes, walked link by link as they are read.
+    Xy(XyLinks, XyLinks),
     /// A reshaped pair from the run's [`ReshapeMemo`]: both link lists
     /// in one shared slice, operand a's first.
     Reshaped { links: Arc<[LinkId]>, split: usize },
 }
 
 impl ReplyRoutes {
-    pub(crate) fn a(&self) -> &[LinkId] {
+    pub(crate) fn a(&self) -> RouteLinks<'_> {
         match self {
-            ReplyRoutes::Xy(a, _) => a,
-            ReplyRoutes::Reshaped { links, split } => &links[..*split],
+            ReplyRoutes::Xy(a, _) => RouteLinks::Xy(*a),
+            ReplyRoutes::Reshaped { links, split } => RouteLinks::Listed(links[..*split].iter()),
         }
     }
 
-    pub(crate) fn b(&self) -> &[LinkId] {
+    pub(crate) fn b(&self) -> RouteLinks<'_> {
         match self {
-            ReplyRoutes::Xy(_, b) => b,
-            ReplyRoutes::Reshaped { links, split } => &links[*split..],
+            ReplyRoutes::Xy(_, b) => RouteLinks::Xy(*b),
+            ReplyRoutes::Reshaped { links, split } => RouteLinks::Listed(links[*split..].iter()),
+        }
+    }
+}
+
+/// The links of one reply route, in order.
+#[derive(Debug, Clone)]
+pub(crate) enum RouteLinks<'r> {
+    Xy(XyLinks),
+    Listed(std::slice::Iter<'r, LinkId>),
+}
+
+impl Iterator for RouteLinks<'_> {
+    type Item = LinkId;
+
+    #[inline]
+    fn next(&mut self) -> Option<LinkId> {
+        match self {
+            RouteLinks::Xy(xy) => xy.next(),
+            RouteLinks::Listed(it) => it.next().copied(),
         }
     }
 }
@@ -663,10 +727,8 @@ pub(crate) fn reply_routes(
     let cb = bank_b.coord(width);
     let cc = core.coord(width);
     if !reshape {
-        return ReplyRoutes::Xy(
-            machine.mesh().xy_route(ca, cc).links,
-            machine.mesh().xy_route(cb, cc).links,
-        );
+        let mesh = machine.mesh();
+        return ReplyRoutes::Xy(mesh.xy_links(ca, cc), mesh.xy_links(cb, cc));
     }
     let key = (bank_a, bank_b, core);
     if let Some(routes) = machine.reshaped.lock().get(&key) {
@@ -748,7 +810,7 @@ pub(crate) fn plan_resolution(
     b: &AccessPath,
     issue: Cycle,
     params: ResolveParams,
-    mut cands: Vec<Meeting>,
+    mut cands: Meetings,
 ) -> ResolvePlan {
     // Local L1 copy: the LD/ST unit skips the offload (handled by the
     // caller for timing; reported here for completeness).
@@ -848,7 +910,7 @@ pub fn resolve_with_candidates(
     b: &AccessPath,
     issue: Cycle,
     params: ResolveParams,
-    cands: Vec<Meeting>,
+    cands: Meetings,
 ) -> NdcOutcome {
     machine.attribute_to(core);
     let cfg = machine.cfg;
@@ -875,16 +937,22 @@ pub fn resolve_with_candidates(
     if chosen.loc == NdcLocation::LinkBuffer {
         if let (Some(l2a), Some(l2b)) = (a.l2, b.l2) {
             let routes = reply_routes(machine, core, l2a.bank, l2b.bank, params.reshape);
-            let meet = |r: &[LinkId]| {
-                r.iter()
-                    .position(|l| machine.mesh().link_router(*l) == chosen.node)
-            };
+            let meet =
+                |mut r: RouteLinks| r.position(|l| machine.mesh().link_router(l) == chosen.node);
             let (ka, kb) = (meet(routes.a()), meet(routes.b()));
             if let Some(k) = ka {
-                machine.send_data_along(&routes.a()[..=k], l2a.data_at_bank, cfg.l1.line_bytes);
+                machine.send_data_along(
+                    routes.a().take(k + 1),
+                    l2a.data_at_bank,
+                    cfg.l1.line_bytes,
+                );
             }
             if let Some(k) = kb {
-                machine.send_data_along(&routes.b()[..=k], l2b.data_at_bank, cfg.l1.line_bytes);
+                machine.send_data_along(
+                    routes.b().take(k + 1),
+                    l2b.data_at_bank,
+                    cfg.l1.line_bytes,
+                );
             }
         }
     }
@@ -913,8 +981,13 @@ pub fn windows_by_location(
     b: &AccessPath,
     reshape: bool,
 ) -> [Option<Cycle>; 4] {
+    windows_of(&candidate_meetings(machine, core, a, b, reshape))
+}
+
+/// [`windows_by_location`] over already-enumerated candidate meetings.
+pub fn windows_of(cands: &[Meeting]) -> [Option<Cycle>; 4] {
     let mut out = [None; 4];
-    for m in candidate_meetings(machine, core, a, b, reshape) {
+    for m in cands {
         let slot = &mut out[m.loc.index()];
         let w = m.window();
         if slot.is_none_or(|cur| w < cur) {
@@ -939,8 +1012,24 @@ pub fn breakeven_by_location(
     b: &AccessPath,
     conv_done: Cycle,
 ) -> [Option<Cycle>; 4] {
+    breakevens_of(
+        machine,
+        core,
+        &candidate_meetings(machine, core, a, b, false),
+        conv_done,
+    )
+}
+
+/// [`breakeven_by_location`] over already-enumerated (XY-route)
+/// candidate meetings.
+pub fn breakevens_of(
+    machine: &Machine,
+    core: NodeId,
+    cands: &[Meeting],
+    conv_done: Cycle,
+) -> [Option<Cycle>; 4] {
     let mut out = [None; 4];
-    for m in candidate_meetings(machine, core, a, b, false) {
+    for m in cands {
         let t1 = m.t_a.min(m.t_b);
         let ret = machine.hop_latency(m.node, core);
         let be = conv_done.saturating_sub(t1 + 1 + ret);
@@ -979,8 +1068,8 @@ mod tests {
         let mut m = machine();
         let core = NodeId(12);
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
         let cands = candidate_meetings(&m, core, &a, &b, false);
         assert!(cands
             .iter()
@@ -994,8 +1083,8 @@ mod tests {
         let line = m.cfg.l2.line_bytes;
         // Banks 0 and 1: adjacent nodes; replies toward core 12 share
         // links.
-        let a = m.access(core, 0, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, line, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, 0, 0, false, AccessIntent::NearData);
+        let b = m.access(core, line, 0, false, AccessIntent::NearData);
         let cands = candidate_meetings(&m, core, &a, &b, false);
         assert!(!cands.iter().any(|c| c.loc == NdcLocation::CacheController));
         // Banks 0=(0,0) and 1=(1,0) routing XY to (2,2): share links
@@ -1008,9 +1097,9 @@ mod tests {
     fn l1_hit_operand_aborts_with_local_hit() {
         let mut m = machine();
         let core = NodeId(5);
-        m.access(core, 0x1000, 0, false, AccessIntent::ToCore, None);
-        let a = m.access(core, 0x1000, 100, false, AccessIntent::NearData, None);
-        let b = m.access(core, 0x2000, 100, false, AccessIntent::NearData, None);
+        m.access(core, 0x1000, 0, false, AccessIntent::ToCore);
+        let a = m.access(core, 0x1000, 100, false, AccessIntent::NearData);
+        let b = m.access(core, 0x2000, 100, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
         let out = resolve(
             &mut m,
@@ -1042,8 +1131,8 @@ mod tests {
         m.cfg.ndc.op_class = ndc_types::OpClass::AddSubOnly;
         let core = NodeId(12);
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
         let out = resolve(
             &mut m,
@@ -1076,8 +1165,8 @@ mod tests {
         m.cfg.ndc.enabled_mask = ndc_types::NdcConfig::only(NdcLocation::CacheController);
         let core = NodeId(12);
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
         let out = resolve(
             &mut m,
@@ -1116,9 +1205,9 @@ mod tests {
         m.cfg.ndc.enabled_mask = ndc_types::NdcConfig::only(NdcLocation::CacheController);
         let core = NodeId(12);
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
         // Operand b fetched much later: a big window.
-        let b = m.access(core, b_addr, 5000, false, AccessIntent::NearData, None);
+        let b = m.access(core, b_addr, 5000, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
         let out = resolve(
             &mut m,
@@ -1156,8 +1245,8 @@ mod tests {
         let mut tables = ServiceTables::default();
         // Fill the single slot with a far-future release.
         tables.insert(NdcLocation::CacheController, NodeId(0), 1_000_000);
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
         let out = resolve(
             &mut m,
             &mut tables,
@@ -1191,8 +1280,8 @@ mod tests {
         let (a_addr, b_addr) = (0u64, 1600 * m.cfg.l2.line_bytes);
         assert_eq!(m.cfg.l2_home(a_addr), m.cfg.l2_home(b_addr));
         assert_eq!(m.cfg.mc_of(a_addr), m.cfg.mc_of(b_addr));
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, b_addr, 40, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 40, false, AccessIntent::NearData);
         let w = windows_by_location(&m, core, &a, &b, false);
         // Same L2 bank: cache-controller window exists.
         assert!(w[NdcLocation::CacheController.index()].is_some());
@@ -1223,8 +1312,8 @@ mod tests {
                 // A small address pool so pairs repeat across the run.
                 let (a, b) = (g.below(48) * line, g.below(48) * line);
                 let t = 40 * k;
-                let pa = m.access(core, a, t, false, AccessIntent::NearData, None);
-                let pb = m.access(core, b, t, false, AccessIntent::NearData, None);
+                let pa = m.access(core, a, t, false, AccessIntent::NearData);
+                let pb = m.access(core, b, t, false, AccessIntent::NearData);
                 let params = ResolveParams {
                     policy: LocationPolicy::FirstOnPath,
                     budget: None,
@@ -1273,8 +1362,8 @@ mod tests {
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
         // Core far from bank 0 (node 24) vs adjacent core (node 1).
         let far = NodeId(24);
-        let a = m.access(far, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(far, b_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(far, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(far, b_addr, 0, false, AccessIntent::NearData);
         let conv_done = 500;
         let be_far = breakeven_by_location(&m, far, &a, &b, conv_done)
             [NdcLocation::CacheController.index()]

@@ -33,7 +33,7 @@ impl HitMiss {
 }
 
 /// The outcome of one simulation run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimResult {
     pub program: String,
     pub scheme: String,

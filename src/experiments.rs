@@ -26,7 +26,7 @@ use ndc_ir::{lower, LowerOptions, Program};
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::span::SpanTrace;
 use ndc_obs::{Event, Metrics, ObsLevel};
-use ndc_sim::engine::{simulate, simulate_obs, simulate_tenants, Engine};
+use ndc_sim::engine::{simulate, simulate_obs, simulate_oracle_guided, simulate_tenants, Engine};
 use ndc_sim::instrument::Instrumentation;
 use ndc_sim::schemes::{Scheme, WaitBudget};
 use ndc_sim::SimResult;
@@ -140,31 +140,48 @@ pub fn evaluate_benchmark_obs(
     // Figure 4 measurement schemes, and the two compiler algorithms
     // (each of which lowers its own schedule). Fan them out; ndc-par
     // returns results in job order, so the output is bit-identical to
-    // the serial path.
+    // the serial path. The oracle's first pass *is* the instrumented
+    // baseline, so the baseline job also runs the oracle's guided pass
+    // instead of the oracle simulating that baseline a second time.
     enum Job {
         Baseline,
         Scheme(Scheme),
         Algorithm(u8),
     }
-    enum JobOut {
+    enum RunOut {
         Baseline(Box<(SimResult, Instrumentation, AccuracyReport)>),
         Scheme(Box<SimResult>),
         Algorithm(Box<(SimResult, CompilerReport)>),
     }
+    // One simulated run: its output slot in `labels` order, plus what
+    // the observability layer collected.
+    type Run = (usize, RunOut, Option<Metrics>, Vec<Event>);
 
+    let schemes = figure4_schemes();
     let mut jobs = vec![Job::Baseline];
-    jobs.extend(figure4_schemes().into_iter().map(Job::Scheme));
+    jobs.extend(
+        schemes
+            .iter()
+            .filter(|s| !matches!(s, Scheme::Oracle { .. }))
+            .map(|&s| Job::Scheme(s)),
+    );
     jobs.push(Job::Algorithm(1));
     jobs.push(Job::Algorithm(2));
 
-    // Per-job run labels in the same order as `jobs`, used to key the
-    // observability output.
+    // Run labels in output order: baseline, the Figure 4 schemes, the
+    // algorithms. Keys the observability output.
     let labels: Vec<String> = std::iter::once("baseline".to_string())
-        .chain(figure4_schemes().into_iter().map(|s| s.label()))
+        .chain(schemes.iter().map(|s| s.label()))
         .chain(["alg1".to_string(), "alg2".to_string()])
         .collect();
+    let slot_of = |scheme: &Scheme| {
+        1 + schemes
+            .iter()
+            .position(|s| s == scheme)
+            .expect("every scheme run comes from figure4_schemes")
+    };
 
-    let outs = ndc_par::parallel_map(&jobs, |job| match job {
+    let runs: Vec<Vec<Run>> = ndc_par::parallel_map(&jobs, |job| match job {
         Job::Baseline => {
             // Instrumented baseline: execution time + characterization
             // + per-reference cache counters.
@@ -172,8 +189,19 @@ pub fn evaluate_benchmark_obs(
                 .with_instrumentation()
                 .with_obs(obs)
                 .run();
-            let baseline = base_out.result;
             let instrumentation = base_out.instrumentation.expect("instrumented run");
+            let mut runs = Vec::new();
+            for s in &schemes {
+                if let Scheme::Oracle { reuse_aware } = *s {
+                    let out =
+                        simulate_oracle_guided(cfg, &traces, reuse_aware, &instrumentation, |e| {
+                            e.with_obs(obs)
+                        });
+                    let run = RunOut::Scheme(Box::new(out.result));
+                    runs.push((slot_of(s), run, out.metrics, out.events));
+                }
+            }
+            let baseline = base_out.result;
             // Table 2: CME predictions vs the baseline's measured
             // behaviour.
             let cme = ndc_cme::analyze(&prog, &cfg, cores);
@@ -188,19 +216,14 @@ pub fn evaluate_benchmark_obs(
                 .map(|(k, v)| (*k, (v.hits, v.misses)))
                 .collect();
             let cme_accuracy = accuracy_against_sim(&cme, &l1_counters, &l2_counters, pc_of_refkey);
-            (
-                JobOut::Baseline(Box::new((baseline, instrumentation, cme_accuracy))),
-                base_out.metrics,
-                base_out.events,
-            )
+            let run = RunOut::Baseline(Box::new((baseline, instrumentation, cme_accuracy)));
+            runs.push((0, run, base_out.metrics, base_out.events));
+            runs
         }
         Job::Scheme(s) => {
             let out = simulate_obs(cfg, &traces, *s, obs);
-            (
-                JobOut::Scheme(Box::new(out.result)),
-                out.metrics,
-                out.events,
-            )
+            let run = RunOut::Scheme(Box::new(out.result));
+            vec![(slot_of(s), run, out.metrics, out.events)]
         }
         Job::Algorithm(which) => {
             let (sched, report) = if *which == 1 {
@@ -210,19 +233,23 @@ pub fn evaluate_benchmark_obs(
             };
             let t = lower(&prog, &opts, Some(&sched));
             let out = simulate_obs(cfg, &t, Scheme::Compiled, obs);
-            (
-                JobOut::Algorithm(Box::new((out.result, report))),
+            let run = RunOut::Algorithm(Box::new((out.result, report)));
+            vec![(
+                schemes.len() + *which as usize,
+                run,
                 out.metrics,
                 out.events,
-            )
+            )]
         }
     });
+    let mut runs: Vec<Run> = runs.into_iter().flatten().collect();
+    runs.sort_by_key(|run| run.0);
 
     let mut baseline_parts = None;
     let mut scheme_results = Vec::new();
     let mut algs = Vec::new();
     let mut bench_obs = BenchObs::default();
-    for (label, (out, metrics, events)) in labels.into_iter().zip(outs) {
+    for (label, (_, out, metrics, events)) in labels.into_iter().zip(runs) {
         if let Some(m) = metrics {
             bench_obs.per_run.push((label.clone(), m));
         }
@@ -230,9 +257,9 @@ pub fn evaluate_benchmark_obs(
             bench_obs.per_run_events.push((label, events));
         }
         match out {
-            JobOut::Baseline(b) => baseline_parts = Some(*b),
-            JobOut::Scheme(r) => scheme_results.push(*r),
-            JobOut::Algorithm(a) => algs.push(*a),
+            RunOut::Baseline(b) => baseline_parts = Some(*b),
+            RunOut::Scheme(r) => scheme_results.push(*r),
+            RunOut::Algorithm(a) => algs.push(*a),
         }
     }
     let (baseline, instrumentation, cme_accuracy) = baseline_parts.expect("baseline job ran");
@@ -1017,6 +1044,29 @@ mod tests {
         assert!(e.cme_accuracy.l1_accesses > 0);
         // kdtree's chains are always co-homed: Algorithm 1 plans them.
         assert!(e.alg1.1.planned > 0);
+    }
+
+    #[test]
+    fn shared_first_pass_oracle_matches_standalone_oracle() {
+        let cfg = ArchConfig::paper_default();
+        for name in ["md", "bwaves", "water"] {
+            let bench = ndc_workloads::by_name(name).unwrap();
+            let e = evaluate_benchmark(&bench, cfg, Scale::Test);
+            let traces = lower(
+                &bench.build(Scale::Test),
+                &LowerOptions {
+                    cores: cfg.nodes(),
+                    emit_busy: true,
+                },
+                None,
+            );
+            let alone = simulate(cfg, &traces, Scheme::Oracle { reuse_aware: true }).result;
+            assert_eq!(e.oracle(), &alone, "{name}");
+            assert!(
+                alone.ndc_total() > 0,
+                "{name}: the oracle offloaded nothing"
+            );
+        }
     }
 
     #[test]
