@@ -9,7 +9,7 @@
 //!   table2            CME L1/L2 estimation accuracy
 //!   fig2              arrival-window CDFs per location
 //!   fig3              breakeven points vs arrival windows
-//!   fig4              performance benefit of every scheme
+//!   fig4              performance benefit of every scheme, BENCH_fig4.json
 //!   fig5              consecutive arrival windows (ocean, radiosity)
 //!   fig6              oracle NDC location breakdown
 //!   fig13             Algorithm-1 NDC location breakdown
@@ -109,7 +109,7 @@ fn usage() {
     println!("  table2            CME L1/L2 estimation accuracy");
     println!("  fig2              arrival-window CDFs per location");
     println!("  fig3              breakeven points vs arrival windows");
-    println!("  fig4              performance benefit of every scheme");
+    println!("  fig4              performance benefit of every scheme, BENCH_fig4.json");
     println!("  fig5              consecutive arrival windows (ocean, radiosity)");
     println!("  fig6              oracle NDC location breakdown");
     println!("  fig13             Algorithm-1 NDC location breakdown");
@@ -279,7 +279,7 @@ fn main() {
         "table2" => with_evals(&args, cfg, table2_cmd),
         "fig2" => with_evals(&args, cfg, fig2),
         "fig3" => with_evals(&args, cfg, fig3),
-        "fig4" => with_evals(&args, cfg, fig4),
+        "fig4" => with_evals(&args, cfg, |evals| fig4(&args, evals)),
         "fig5" => fig5(&args, cfg),
         "fig6" => with_evals(&args, cfg, fig6),
         "fig13" => with_evals(&args, cfg, fig13),
@@ -307,7 +307,7 @@ fn main() {
             table2_cmd(&evals);
             fig2(&evals);
             fig3(&evals);
-            fig4(&evals);
+            fig4(&args, &evals);
             fig5(&args, cfg);
             fig6(&evals);
             fig13(&evals);
@@ -535,7 +535,10 @@ fn fig3(evals: &[exp::BenchmarkEvaluation]) {
     println!();
 }
 
-fn fig4(evals: &[exp::BenchmarkEvaluation]) {
+/// Print Figure 4. A full sweep (no `--bench`) also writes
+/// `BENCH_fig4.json`: per program and as geomeans, the improvement of
+/// all nine schemes, plus the simulated cycles behind each.
+fn fig4(args: &Args, evals: &[exp::BenchmarkEvaluation]) {
     println!("== Figure 4: performance benefit over original (%) ==");
     let rows = exp::figure4(evals);
     println!(
@@ -575,6 +578,60 @@ fn fig4(evals: &[exp::BenchmarkEvaluation]) {
     );
     println!("(paper geomeans: default -16.7, oracle +29.3, wait -15.1..-13.4, lastwait -4.3, alg1 +22.5, alg2 +25.2)");
     println!();
+    if args.bench.is_none() {
+        write_json("BENCH_fig4.json", &fig4_doc(args, evals, &rows));
+    }
+}
+
+/// The `BENCH_fig4.json` document: every field is simulated, so the
+/// gate compares all of it exactly.
+fn fig4_doc(args: &Args, evals: &[exp::BenchmarkEvaluation], rows: &[exp::Figure4Row]) -> Json {
+    let labels: Vec<String> = exp::figure4_schemes()
+        .iter()
+        .map(|s| s.label())
+        .chain(["alg1".to_string(), "alg2".to_string()])
+        .collect();
+    let improvements = |r: &exp::Figure4Row| -> Vec<f64> {
+        r.schemes.iter().copied().chain([r.alg1, r.alg2]).collect()
+    };
+    let bench_rows: Vec<Json> = evals
+        .iter()
+        .zip(rows)
+        .map(|(e, r)| {
+            let results = e.scheme_results.iter().chain([&e.alg1.0, &e.alg2.0]);
+            let schemes: Vec<Json> = labels
+                .iter()
+                .zip(improvements(r))
+                .zip(results)
+                .map(|((label, imp), res)| {
+                    Json::obj()
+                        .with("scheme", label.as_str())
+                        .with("improvement_pct", imp)
+                        .with("cycles", res.total_cycles)
+                })
+                .collect();
+            Json::obj()
+                .with("name", e.name.as_str())
+                .with("baseline_cycles", e.baseline.total_cycles)
+                .with("schemes", schemes)
+        })
+        .collect();
+    let per_program: Vec<Vec<f64>> = rows.iter().map(improvements).collect();
+    let geomeans: Vec<Json> = labels
+        .iter()
+        .enumerate()
+        .map(|(i, label)| {
+            let col: Vec<f64> = per_program.iter().map(|v| v[i]).collect();
+            Json::obj()
+                .with("scheme", label.as_str())
+                .with("improvement_pct", geomean_improvement(&col))
+        })
+        .collect();
+    Json::obj()
+        .with("experiment", "fig4")
+        .with("scale", format!("{:?}", args.scale))
+        .with("geomean", geomeans)
+        .with("rows", bench_rows)
 }
 
 fn fig5(args: &Args, cfg: ArchConfig) {

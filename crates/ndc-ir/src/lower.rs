@@ -152,6 +152,11 @@ pub fn try_lower(
     out.traces = (0..opts.cores)
         .map(|c| Trace::new(NodeId(c as u16)))
         .collect();
+    // Next free precompute id per trace, carried across nests. Ids are
+    // dense per trace (0..precompute_ids), which lets the engine index
+    // its pre-result table directly instead of hashing (usize, u32)
+    // keys in the inner loop.
+    let mut next_ids = vec![0u32; opts.cores];
 
     for (nest_pos, nest) in prog.nests.iter().enumerate() {
         let points = scheduled_points(nest, sched);
@@ -176,11 +181,8 @@ pub fn try_lower(
 
         for (tid, my_points) in thread_points.iter().enumerate() {
             let trace = &mut out.traces[tid];
+            let next_precompute_id = &mut next_ids[tid];
             // (plan index, consumer point index) -> precompute id.
-            // Ids are dense per trace (0..precompute_count), which lets
-            // the engine index its pre-result table directly instead of
-            // hashing (usize, u32) keys in the inner loop.
-            let mut next_precompute_id = trace.precompute_ids() as u32;
             let mut pending: FxHashMap<(usize, usize), u32> = FxHashMap::default();
             // (fused plan index, consumer point index) -> base id. Kept
             // until every chain member at that point has consumed its
@@ -210,8 +212,8 @@ pub fn try_lower(
                         continue;
                     };
                     let store_to = prog.addr_of(&stmt.dst, tpoint);
-                    let id = next_precompute_id;
-                    next_precompute_id += 1;
+                    let id = *next_precompute_id;
+                    *next_precompute_id += 1;
                     pending.insert((pi, target), id);
                     trace.insts.push(Inst {
                         pc: pc_of(nest_pos, stmt_pos, ROLE_PRECOMPUTE),
@@ -252,8 +254,8 @@ pub fn try_lower(
                     if !resolvable {
                         continue;
                     }
-                    let id = next_precompute_id;
-                    next_precompute_id += info.n_ops as u32;
+                    let id = *next_precompute_id;
+                    *next_precompute_id += info.n_ops as u32;
                     pending_fused.insert((fi, target), id);
                     trace.insts.push(Inst {
                         pc: pc_of(nest_pos, info.head_pos, ROLE_PRECOMPUTE),
@@ -943,6 +945,76 @@ mod tests {
         assert!(tp.validate_precompute_links().is_ok());
         // Nest 0: 8 packets x 2 ids; nest 1: 8 singles.
         assert_eq!(tp.traces[0].precompute_ids(), 24);
+    }
+
+    #[test]
+    fn ids_run_in_emission_order_across_nests_and_threads() {
+        // Individual plans in nests 0 and 2 around a fused chain in
+        // nest 1, on three threads: each trace's ids count up from 0
+        // in emission order, carried across nests.
+        let mut p = chain_prog(12);
+        let x = crate::program::ArrayId(0);
+        let v = p.add_array(ArrayDecl::new("V", vec![12], 8));
+        let add = |id| {
+            Stmt::binary(
+                id,
+                ArrayRef::identity(v, 1, vec![0]),
+                Op::Add,
+                Ref::Array(ArrayRef::identity(v, 1, vec![0])),
+                Ref::Array(ArrayRef::identity(x, 1, vec![0])),
+                1,
+            )
+        };
+        let chain = p.nests.remove(0);
+        p.nests = vec![
+            LoopNest::new(0, vec![0], vec![12], vec![add(0)]),
+            LoopNest {
+                id: crate::program::NestId(1),
+                ..chain
+            },
+            LoopNest::new(2, vec![0], vec![12], vec![add(0)]),
+        ];
+        p.assign_layout(0, 256);
+        let mut sched = Schedule::default();
+        for (nest, lookahead) in [(0, 1), (2, 2)] {
+            sched.precomputes.push(PrecomputePlan {
+                nest: crate::program::NestId(nest),
+                stmt: crate::program::StmtId(0),
+                lookahead,
+                stagger: 0,
+                reshape_routes: false,
+                strategy: MoveStrategy::MoveBoth,
+                target: NdcLocation::MemoryBank,
+            });
+        }
+        let mut fused = chain_sched(1);
+        fused.fused[0].nest = crate::program::NestId(1);
+        sched.fused = fused.fused;
+        let opts = LowerOptions {
+            cores: 3,
+            emit_busy: true,
+        };
+        let tp = lower(&p, &opts, Some(&sched));
+        assert_eq!(tp.validate_precompute_links(), Ok(()));
+        for t in &tp.traces {
+            let mut next = 0u32;
+            for i in &t.insts {
+                match i.kind {
+                    InstKind::PreCompute { id, .. } => {
+                        assert_eq!(id, next);
+                        next += 1;
+                    }
+                    InstKind::FusedPreCompute { id, n_ops, .. } => {
+                        assert_eq!(id, next);
+                        next += n_ops as u32;
+                    }
+                    _ => {}
+                }
+            }
+            // 4 points per thread and nest: 3 + 2 x 3 + 2 ids.
+            assert_eq!(next, 11);
+            assert_eq!(t.precompute_ids(), next as u64);
+        }
     }
 
     #[test]

@@ -295,6 +295,30 @@ impl Iterator for IterPoints<'_> {
         self.cur = None;
         Some(cur)
     }
+
+    /// Skip `n` points in O(depth): add `n` at the innermost dimension
+    /// and carry through the extents, so `step_by` visits only the
+    /// points it yields. Past the end the iterator is exhausted.
+    fn nth(&mut self, n: usize) -> Option<IVec> {
+        let cur = self.cur.as_mut()?;
+        // `u128` holds any `usize` plus any in-range offset.
+        let mut carry = n as u128;
+        for k in (0..cur.len()).rev() {
+            if carry == 0 {
+                break;
+            }
+            let lo = self.nest.lo[k];
+            let extent = (self.nest.hi[k] - lo) as u128;
+            let pos = (cur[k] - lo) as u128 + carry;
+            cur[k] = lo + (pos % extent) as i64;
+            carry = pos / extent;
+        }
+        if carry > 0 {
+            self.cur = None;
+            return None;
+        }
+        self.next()
+    }
 }
 
 /// A whole program: arrays plus loop nests executed in order.
@@ -351,9 +375,28 @@ impl Program {
 
     /// Physical address touched by `aref` at iteration `iter`, `None`
     /// if out of the array's bounds.
+    ///
+    /// One pass computes each index row of `F·I + f`, checks it against
+    /// its dimension and folds it into the row-major offset, without
+    /// materializing the index vector (the interpreter keeps the
+    /// separate [`ArrayRef::index_at`] + [`ArrayDecl::linearize`] path).
     pub fn addr_of(&self, aref: &ArrayRef, iter: &[i64]) -> Option<Addr> {
-        let idx = aref.index_at(iter);
-        self.array(aref.array).addr_of(&idx)
+        let decl = self.array(aref.array);
+        let f = &aref.coeffs;
+        assert_eq!(f.cols, iter.len());
+        if f.rows != decl.dims.len() {
+            return None;
+        }
+        let mut lin: u64 = 0;
+        for (r, &d) in decl.dims.iter().enumerate() {
+            let dot: i64 = f.row(r).iter().zip(iter).map(|(c, x)| c * x).sum();
+            let i = dot + aref.offsets.get(r).copied().unwrap_or(0);
+            if i < 0 || i as u64 >= d {
+                return None;
+            }
+            lin = lin * d + i as u64;
+        }
+        Some(decl.base + lin * decl.elem_bytes)
     }
 }
 
@@ -475,6 +518,82 @@ mod tests {
         assert_eq!(nest.points(), 2);
         let pts: Vec<IVec> = nest.iter_points().collect();
         assert_eq!(pts, vec![vec![3, 0], vec![3, 1]]);
+    }
+
+    /// Random nests of depth 1–4 with negative and positive lower
+    /// bounds and extents 1–7 (seeded-loop property test, 256 cases):
+    /// `nth` and `step_by` land exactly where stepping one point at a
+    /// time does, and skipping past the end exhausts the iterator.
+    #[test]
+    fn indexed_stepping_matches_point_by_point() {
+        let mut g = ndc_types::SplitMix64::new(0x17e2);
+        for case in 0..256 {
+            let depth = g.range_u64(1, 5) as usize;
+            let lo: IVec = (0..depth).map(|_| g.range_i64(-5, 6)).collect();
+            let hi: IVec = lo.iter().map(|&l| l + g.range_i64(1, 8)).collect();
+            let nest = LoopNest::new(case, lo, hi, vec![]);
+            let all: Vec<IVec> = nest.iter_points().collect();
+            assert_eq!(all.len() as u64, nest.points());
+            for n in 0..all.len() + 3 {
+                let mut it = nest.iter_points();
+                assert_eq!(it.nth(n), all.get(n).cloned(), "{nest:?} nth({n})");
+                assert_eq!(
+                    it.next(),
+                    all.get(n + 1).cloned(),
+                    "{nest:?} after nth({n})"
+                );
+            }
+            for s in 1..all.len() + 3 {
+                let stepped: Vec<IVec> = nest.iter_points().step_by(s).collect();
+                let want: Vec<IVec> = all.iter().step_by(s).cloned().collect();
+                assert_eq!(stepped, want, "{nest:?} step_by({s})");
+            }
+            let mut it = nest.iter_points();
+            assert_eq!(it.nth(usize::MAX), None);
+            assert_eq!(it.next(), None);
+            let mut it = nest.iter_points();
+            it.next();
+            assert_eq!(it.nth(usize::MAX), None);
+        }
+        let empty = LoopNest::new(0, vec![0, 2], vec![3, 2], vec![]);
+        for n in [0, 1, usize::MAX] {
+            assert_eq!(empty.iter_points().nth(n), None);
+        }
+    }
+
+    /// `Program::addr_of` agrees with the interpreter's path,
+    /// `index_at` + `ArrayDecl::addr_of`, on seeded affine references:
+    /// in and out of bounds, and with the reference's rank differing
+    /// from the array's (seeded-loop property test, 256 cases).
+    #[test]
+    fn fused_addressing_matches_index_then_linearize() {
+        let mut g = ndc_types::SplitMix64::new(0x17e3);
+        for _ in 0..256 {
+            let mut p = Program::new("addr");
+            let rank = g.range_u64(1, 4) as usize;
+            let dims: Vec<u64> = (0..rank).map(|_| g.range_u64(1, 7)).collect();
+            let x = p.add_array(ArrayDecl::new("X", dims, *g.choose(&[4, 8])));
+            p.assign_layout(0x4000, 64);
+            let depth = g.range_u64(1, 4) as usize;
+            let rows = match g.below(4) {
+                0 if rank > 1 => rank - 1,
+                1 => rank + 1,
+                _ => rank,
+            };
+            let mut coeffs = IMat::zeros(rows, depth);
+            for i in 0..rows {
+                for j in 0..depth {
+                    coeffs[(i, j)] = g.range_i64(-2, 3);
+                }
+            }
+            let offsets: IVec = (0..rows).map(|_| g.range_i64(-3, 4)).collect();
+            let r = ArrayRef::affine(x, coeffs, offsets);
+            for _ in 0..16 {
+                let pt: IVec = (0..depth).map(|_| g.range_i64(-4, 9)).collect();
+                let want = p.array(x).addr_of(&r.index_at(&pt));
+                assert_eq!(p.addr_of(&r, &pt), want, "{r:?} at {pt:?}");
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,8 @@ trap 'rm -rf "$tmp"' EXIT
 # each regenerated file is gated against its committed counterpart
 # (simulated counters exact, wall clock within 10x). Rebase with
 # NDC_BENCH_REBASE=1 after an intentional behaviour change.
-for f in BENCH_scale.json BENCH_fusion.json BENCH_fig4_schemes.json BENCH_model_accuracy.json; do
+for f in BENCH_scale.json BENCH_fusion.json BENCH_fig4_schemes.json BENCH_model_accuracy.json \
+    BENCH_compiler_passes.json BENCH_fig4.json; do
     cp "$f" "$tmp/base_$f"
 done
 
@@ -65,6 +66,14 @@ same_across_threads() {
 echo "== determinism: NDC_THREADS=1 vs NDC_THREADS=8 =="
 # fig4 plus its --metrics observability dump (the side file).
 same_across_threads fig4 "$EVAL" fig4 --scale test --metrics @SIDE@
+
+echo "== headline: paper-scale Figure 4 + BENCH_fig4.json =="
+# The reproduction itself: every program's improvement under all nine
+# schemes and the simulated cycles behind each, gated exactly against
+# the committed baseline (the file has no wall-clock keys).
+same_across_threads fig4-paper "$EVAL" fig4 --scale paper
+cat "$tmp/fig4-paper.1"
+"$EVAL" gate --baseline "$tmp/base_BENCH_fig4.json" --current BENCH_fig4.json
 
 echo "== determinism: fig13 NDC_THREADS=1 vs NDC_THREADS=8 =="
 same_across_threads fig13 "$EVAL" fig13 --scale test
@@ -153,5 +162,13 @@ echo "== bench harness smoke (appends BENCH_fig4_schemes.json) =="
 NDC_BENCH_FAST=1 cargo bench --offline -p bench --bench fig4_schemes
 test -s BENCH_fig4_schemes.json || { echo "FAIL: BENCH_fig4_schemes.json missing" >&2; exit 1; }
 "$EVAL" gate --baseline "$tmp/base_BENCH_fig4_schemes.json" --current BENCH_fig4_schemes.json
+
+echo "== compiler pass benches (appends BENCH_compiler_passes.json) =="
+# Paper-scale Algorithm 1/2 and lowering: the compiler's decisions
+# (planned, fused chains, trace instructions) gate exactly, the wall
+# times within the gate's ratio.
+NDC_BENCH_FAST=1 cargo bench --offline -p bench --bench compiler_passes
+test -s BENCH_compiler_passes.json || { echo "FAIL: BENCH_compiler_passes.json missing" >&2; exit 1; }
+"$EVAL" gate --baseline "$tmp/base_BENCH_compiler_passes.json" --current BENCH_compiler_passes.json
 
 echo "== all checks passed =="

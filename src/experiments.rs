@@ -22,7 +22,7 @@ use ndc_compiler::{
     compile_algorithm1, compile_algorithm2, compile_coarse, Algorithm2Options, CandidateRecord,
     CompilerReport,
 };
-use ndc_ir::{lower, LowerOptions, Program};
+use ndc_ir::{lower, LowerOptions, Program, Schedule};
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::span::SpanTrace;
 use ndc_obs::{Event, Metrics, ObsLevel};
@@ -135,29 +135,37 @@ pub fn evaluate_benchmark_obs(
     // scheme.
     let traces = lower(&prog, &opts, None);
 
+    // Both algorithms compile up front. When their schedules are
+    // equal the lowered traces are too, so one compiled run serves
+    // both slots; each keeps its own compiler report.
+    let (sched1, report1) = compile_algorithm1(&prog, &cfg, cores);
+    let (sched2, report2) = compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default());
+    let shared_compiled = sched1 == sched2;
+
     // Every remaining piece of the evaluation is independent given
     // `traces`: the instrumented baseline (+ CME accuracy), the seven
-    // Figure 4 measurement schemes, and the two compiler algorithms
-    // (each of which lowers its own schedule). Fan them out; ndc-par
-    // returns results in job order, so the output is bit-identical to
-    // the serial path. The oracle's first pass *is* the instrumented
+    // Figure 4 measurement schemes, and the compiled runs (each of
+    // which lowers its own schedule). Fan them out; ndc-par returns
+    // results in job order, so the output is bit-identical to the
+    // serial path. The oracle's first pass *is* the instrumented
     // baseline, so the baseline job also runs the oracle's guided pass
     // instead of the oracle simulating that baseline a second time.
-    enum Job {
+    enum Job<'a> {
         Baseline,
         Scheme(Scheme),
-        Algorithm(u8),
+        /// A compiled run and its output slot.
+        Compiled(usize, &'a Schedule),
     }
     enum RunOut {
         Baseline(Box<(SimResult, Instrumentation, AccuracyReport)>),
-        Scheme(Box<SimResult>),
-        Algorithm(Box<(SimResult, CompilerReport)>),
+        Sim(Box<SimResult>),
     }
     // One simulated run: its output slot in `labels` order, plus what
     // the observability layer collected.
     type Run = (usize, RunOut, Option<Metrics>, Vec<Event>);
 
     let schemes = figure4_schemes();
+    let (alg1_slot, alg2_slot) = (schemes.len() + 1, schemes.len() + 2);
     let mut jobs = vec![Job::Baseline];
     jobs.extend(
         schemes
@@ -165,8 +173,10 @@ pub fn evaluate_benchmark_obs(
             .filter(|s| !matches!(s, Scheme::Oracle { .. }))
             .map(|&s| Job::Scheme(s)),
     );
-    jobs.push(Job::Algorithm(1));
-    jobs.push(Job::Algorithm(2));
+    jobs.push(Job::Compiled(alg1_slot, &sched1));
+    if !shared_compiled {
+        jobs.push(Job::Compiled(alg2_slot, &sched2));
+    }
 
     // Run labels in output order: baseline, the Figure 4 schemes, the
     // algorithms. Keys the observability output.
@@ -197,7 +207,7 @@ pub fn evaluate_benchmark_obs(
                         simulate_oracle_guided(cfg, &traces, reuse_aware, &instrumentation, |e| {
                             e.with_obs(obs)
                         });
-                    let run = RunOut::Scheme(Box::new(out.result));
+                    let run = RunOut::Sim(Box::new(out.result));
                     runs.push((slot_of(s), run, out.metrics, out.events));
                 }
             }
@@ -222,34 +232,31 @@ pub fn evaluate_benchmark_obs(
         }
         Job::Scheme(s) => {
             let out = simulate_obs(cfg, &traces, *s, obs);
-            let run = RunOut::Scheme(Box::new(out.result));
+            let run = RunOut::Sim(Box::new(out.result));
             vec![(slot_of(s), run, out.metrics, out.events)]
         }
-        Job::Algorithm(which) => {
-            let (sched, report) = if *which == 1 {
-                compile_algorithm1(&prog, &cfg, cores)
-            } else {
-                compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default())
-            };
-            let t = lower(&prog, &opts, Some(&sched));
+        Job::Compiled(slot, sched) => {
+            let t = lower(&prog, &opts, Some(sched));
             let out = simulate_obs(cfg, &t, Scheme::Compiled, obs);
-            let run = RunOut::Algorithm(Box::new((out.result, report)));
-            vec![(
-                schemes.len() + *which as usize,
-                run,
-                out.metrics,
-                out.events,
-            )]
+            let run = RunOut::Sim(Box::new(out.result));
+            vec![(*slot, run, out.metrics, out.events)]
         }
     });
     let mut runs: Vec<Run> = runs.into_iter().flatten().collect();
     runs.sort_by_key(|run| run.0);
+    if shared_compiled {
+        let (_, RunOut::Sim(r), metrics, events) = runs.last().expect("algorithm 1 job ran") else {
+            unreachable!("the last slot is a compiled run");
+        };
+        let run = RunOut::Sim(r.clone());
+        runs.push((alg2_slot, run, metrics.clone(), events.clone()));
+    }
 
     let mut baseline_parts = None;
     let mut scheme_results = Vec::new();
-    let mut algs = Vec::new();
+    let mut compiled = Vec::new();
     let mut bench_obs = BenchObs::default();
-    for (label, (_, out, metrics, events)) in labels.into_iter().zip(runs) {
+    for (label, (slot, out, metrics, events)) in labels.into_iter().zip(runs) {
         if let Some(m) = metrics {
             bench_obs.per_run.push((label.clone(), m));
         }
@@ -258,13 +265,13 @@ pub fn evaluate_benchmark_obs(
         }
         match out {
             RunOut::Baseline(b) => baseline_parts = Some(*b),
-            RunOut::Scheme(r) => scheme_results.push(*r),
-            RunOut::Algorithm(a) => algs.push(*a),
+            RunOut::Sim(r) if slot < alg1_slot => scheme_results.push(*r),
+            RunOut::Sim(r) => compiled.push(*r),
         }
     }
     let (baseline, instrumentation, cme_accuracy) = baseline_parts.expect("baseline job ran");
-    let (a2, r2) = algs.pop().expect("algorithm 2 job ran");
-    let (a1, r1) = algs.pop().expect("algorithm 1 job ran");
+    let a2 = compiled.pop().expect("algorithm 2 run");
+    let a1 = compiled.pop().expect("algorithm 1 run");
 
     (
         BenchmarkEvaluation {
@@ -272,8 +279,8 @@ pub fn evaluate_benchmark_obs(
             baseline,
             instrumentation,
             scheme_results,
-            alg1: (a1, r1),
-            alg2: (a2, r2),
+            alg1: (a1, report1),
+            alg2: (a2, report2),
             cme_accuracy,
         },
         bench_obs,
@@ -1066,6 +1073,35 @@ mod tests {
                 alone.ndc_total() > 0,
                 "{name}: the oracle offloaded nothing"
             );
+        }
+    }
+
+    /// kdtree's two schedules are equal at test scale, so one compiled
+    /// run serves both algorithms; ocean's differ, so each gets its
+    /// own. Either way alg2 is exactly its standalone compiled run and
+    /// keeps its own compiler report and metrics entry.
+    #[test]
+    fn shared_compiled_run_matches_standalone_alg2() {
+        let cfg = ArchConfig::paper_default();
+        let opts = LowerOptions {
+            cores: cfg.nodes(),
+            emit_busy: true,
+        };
+        for (name, shared) in [("kdtree", true), ("ocean", false)] {
+            let bench = ndc_workloads::by_name(name).unwrap();
+            let prog = bench.build(Scale::Test);
+            let (s1, r1) = compile_algorithm1(&prog, &cfg, cfg.nodes());
+            let (s2, r2) =
+                compile_algorithm2(&prog, &cfg, cfg.nodes(), Algorithm2Options::default());
+            assert_eq!(s1 == s2, shared, "{name}");
+            let (e, obs) = evaluate_benchmark_obs(&bench, cfg, Scale::Test, ObsLevel::metrics());
+            let alone = simulate(cfg, &lower(&prog, &opts, Some(&s2)), Scheme::Compiled).result;
+            assert_eq!(e.alg2.0, alone, "{name}");
+            assert_eq!(e.alg2.1, r2, "{name}");
+            assert_eq!(e.alg1.1, r1, "{name}");
+            let labels: Vec<&str> = obs.per_run.iter().map(|(l, _)| l.as_str()).collect();
+            assert_eq!(labels[8..], ["alg1", "alg2"], "{name}");
+            assert_eq!(evaluate_benchmark(&bench, cfg, Scale::Test).alg2.0, alone);
         }
     }
 
