@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrates: cache accesses, DRAM requests,
-//! XY routing, whole memory accesses, signature selection (5×5 and
-//! 16×16 meshes).
+//! XY routing, whole memory accesses, coherence invalidations,
+//! signature selection (5×5 and 16×16 meshes).
 
 use bench::Harness;
 use ndc_mem::{MemoryController, SetAssocCache};
@@ -50,6 +50,48 @@ fn main() {
             machine.access_into(&mut path, core, addr, t, false, AccessIntent::ToCore);
             path.completion
         });
+    }
+
+    // A store to a line four other cores share: the readers re-read
+    // the line (coherence misses served by its L2 bank), then the
+    // writer's L1 hit invalidates their copies.
+    for (name, cfg, readers, writer) in [
+        ("machine_write_invalidate_5x5", cfg, [0, 6, 18, 24], 12),
+        (
+            "machine_write_invalidate_16x16",
+            ArchConfig::with_mesh(16, 16),
+            [3, 70, 140, 201],
+            255,
+        ),
+    ] {
+        let round = |machine: &mut Machine, path: &mut AccessPath, t: &mut u64| {
+            for r in readers {
+                *t += 10;
+                let core = NodeId(r);
+                machine.access_into(path, core, 0x4_0000, *t, false, AccessIntent::ToCore);
+            }
+            *t += 10;
+            let core = NodeId(writer);
+            machine.access_into(path, core, 0x4_0000, *t, true, AccessIntent::ToCore);
+            path.completion
+        };
+        let mut machine = Machine::new(cfg);
+        let mut path = AccessPath::default();
+        let mut t = 0u64;
+        h.bench(name, || round(&mut machine, &mut path, &mut t));
+        // What 100 rounds on a fresh machine simulate, gated exactly.
+        let mut machine = Machine::new(cfg);
+        let mut t = 0u64;
+        for _ in 0..100 {
+            round(&mut machine, &mut path, &mut t);
+        }
+        h.counter(
+            "invalidations_sent",
+            machine.sharers.stats.invalidations_sent,
+        );
+        h.counter("contended_writes", machine.sharers.stats.contended_writes);
+        h.counter("coherence_misses", machine.l1_totals().coherence_misses);
+        h.counter("last_completion", path.completion);
     }
 
     {

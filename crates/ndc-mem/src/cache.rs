@@ -159,8 +159,17 @@ impl SetAssocCache {
 
     /// `(set, tag)` of the line holding `addr`.
     #[inline]
-    fn locate(&self, addr: Addr) -> (usize, u64) {
+    pub fn locate(&self, addr: Addr) -> (usize, u64) {
         self.split.set_tag(self.split.line(addr))
+    }
+
+    /// Tags of the valid ways of `set`, in way order.
+    #[inline]
+    pub fn valid_tags(&self, set: usize) -> impl Iterator<Item = u64> + '_ {
+        self.tags[set * self.ways..(set + 1) * self.ways]
+            .iter()
+            .copied()
+            .filter(|&t| t != INVALID)
     }
 
     /// Way index of `tag` in `set`, if resident.
@@ -240,15 +249,18 @@ impl SetAssocCache {
     }
 
     /// Remove a line (directory-initiated invalidation). The next demand
-    /// miss on this line is counted as a coherence miss.
-    pub fn invalidate(&mut self, addr: Addr) {
+    /// miss on this line is counted as a coherence miss. Returns whether
+    /// the line was resident.
+    pub fn invalidate(&mut self, addr: Addr) -> bool {
         let (set, tag) = self.locate(addr);
-        if let Some(i) = self.find(set, tag) {
-            self.tags[i] = INVALID;
-            self.valid[set] -= 1;
-            self.stats.invalidations += 1;
-            self.invalidated.insert(self.line_addr(addr));
-        }
+        let Some(i) = self.find(set, tag) else {
+            return false;
+        };
+        self.tags[i] = INVALID;
+        self.valid[set] -= 1;
+        self.stats.invalidations += 1;
+        self.invalidated.insert(self.line_addr(addr));
+        true
     }
 
     /// Number of currently-valid lines (tests and occupancy metrics).
@@ -522,7 +534,8 @@ mod tests {
             let addr = g.below(lines) * cfg.line_bytes + g.below(cfg.line_bytes);
             match g.below(8) {
                 0 => {
-                    dense.invalidate(addr);
+                    let resident = aos.probe(addr);
+                    assert_eq!(dense.invalidate(addr), resident);
                     aos.invalidate(addr);
                 }
                 1 => {

@@ -1,17 +1,22 @@
 //! Full-map sharer directory for L1 coherence.
 //!
-//! The simulated machine keeps a directory entry per L2-home line
-//! recording which cores hold the line in their L1. A write from core
-//! `c` invalidates every other sharer's L1 copy. Those later re-reads
-//! become *coherence misses* — the miss class the paper's CME estimator
-//! deliberately does not model ("our CME implementation does not model
-//! coherence misses", §5.2), which is what caps the Table 2 accuracies.
+//! A directory entry per L2-home line records which cores hold the
+//! line in their L1. A write from core `c` invalidates every other
+//! sharer's L1 copy. Those later re-reads become *coherence misses* —
+//! the miss class the paper's CME estimator deliberately does not model
+//! ("our CME implementation does not model coherence misses", §5.2),
+//! which is what caps the Table 2 accuracies.
+//!
+//! The serial engine reads sharers from L1 residency instead
+//! ([`crate::sharers::SharerFilter`]); the directory serves the lane
+//! engine's deferred directory log and is the reference the filter is
+//! checked against. Its [`DirStats`] are the counters both report.
 
 use ndc_types::{Addr, FxHashMap};
 
 /// Directory contention counters: how much coherence traffic the
 /// directory generated and absorbed.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirStats {
     /// Read copies registered.
     pub sharer_adds: u64,

@@ -31,7 +31,7 @@ trap 'rm -rf "$tmp"' EXIT
 # (simulated counters exact, wall clock within 10x). Rebase with
 # NDC_BENCH_REBASE=1 after an intentional behaviour change.
 for f in BENCH_scale.json BENCH_fusion.json BENCH_fig4_schemes.json BENCH_model_accuracy.json \
-    BENCH_compiler_passes.json BENCH_fig4.json; do
+    BENCH_compiler_passes.json BENCH_fig4.json BENCH_substrate_micro.json; do
     cp "$f" "$tmp/base_$f"
 done
 
@@ -170,5 +170,13 @@ echo "== compiler pass benches (appends BENCH_compiler_passes.json) =="
 NDC_BENCH_FAST=1 cargo bench --offline -p bench --bench compiler_passes
 test -s BENCH_compiler_passes.json || { echo "FAIL: BENCH_compiler_passes.json missing" >&2; exit 1; }
 "$EVAL" gate --baseline "$tmp/base_BENCH_compiler_passes.json" --current BENCH_compiler_passes.json
+
+echo "== substrate micro benches (appends BENCH_substrate_micro.json) =="
+# Caches, DRAM, NoC, whole accesses, coherence invalidations, the
+# ready queue and signature selection: what the write-invalidate cases
+# simulate gates exactly, every wall time within the gate's ratio.
+NDC_BENCH_FAST=1 cargo bench --offline -p bench --bench substrate_micro
+test -s BENCH_substrate_micro.json || { echo "FAIL: BENCH_substrate_micro.json missing" >&2; exit 1; }
+"$EVAL" gate --baseline "$tmp/base_BENCH_substrate_micro.json" --current BENCH_substrate_micro.json
 
 echo "== all checks passed =="

@@ -62,15 +62,30 @@ fn steady_state_simulation_does_not_allocate() {
     // volrend at paper scale issues ~330k instructions: long enough
     // that set-up allocations are noise.
     let bench = ndc::workloads::by_name("volrend").unwrap();
-    let traces = lower(&bench.build(Scale::Paper), &opts, None);
-    for scheme in [
-        Scheme::Baseline,
-        Scheme::NdcAll {
-            budget: WaitBudget::Forever,
-        },
+    let prog = bench.build(Scale::Paper);
+    let traces = lower(&prog, &opts, None);
+    let (sched, report) =
+        compile_algorithm2(&prog, &cfg, cfg.nodes(), Algorithm2Options::default());
+    assert!(report.planned > 0, "Algorithm 2 planned no offloads");
+    let compiled = lower(&prog, &opts, Some(&sched));
+    for (traces, scheme) in [
+        (&traces, Scheme::Baseline),
+        (
+            &traces,
+            Scheme::NdcAll {
+                budget: WaitBudget::Forever,
+            },
+        ),
+        (
+            &traces,
+            Scheme::NdcAll {
+                budget: WaitBudget::LastWindow,
+            },
+        ),
+        (&compiled, Scheme::Compiled),
     ] {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let out = simulate(cfg, &traces, scheme);
+        let out = simulate(cfg, traces, scheme);
         let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
         let insts = out.result.issued_insts;
         if scheme != Scheme::Baseline {
